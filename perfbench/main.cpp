@@ -176,7 +176,9 @@ void run_untraced(const Workload& w, const Options& o, Report& rep,
   rep.add("mcps", median(mcps), "Mcycles/s");
   rep.add("setup_s", setup_s, "s");
   rep.add("peak_rss_mb", rss_mib, "MiB");
-  rep.add("paper_err", w.paper_err(ref), "ratio");
+  Pass anchor_runs;
+  rep.add("paper_err", w.paper_err(ref, anchor_runs), "ratio");
+  rep.count(anchor_runs);
 }
 
 /// The traced run. Besides the traced workload's own sweep passes (driver

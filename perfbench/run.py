@@ -62,9 +62,20 @@ def run(workload, seed, seconds, trace, small=False, capture=False):
         cmd += ["--trace-out", trace_file]
     if small:
         cmd.append("--small")
-    proc = subprocess.run(cmd, env=bench_env(), timeout=RUN_TIMEOUT_S,
-                          stdout=subprocess.PIPE if capture else None,
-                          text=True)
+    try:
+        proc = subprocess.run(cmd, env=bench_env(), timeout=RUN_TIMEOUT_S,
+                              stdout=subprocess.PIPE if capture else None,
+                              text=True)
+    except subprocess.TimeoutExpired:
+        # subprocess.run has killed and reaped the child; report the run
+        # as failed instead of leaving no result line.
+        out = json.dumps({"correct": False, "attempted": 1, "failed": 1,
+                          "metrics": {}})
+        print("perfbench: run exceeded %d s" % RUN_TIMEOUT_S, file=sys.stderr)
+        if capture:
+            return 1, out + "\n", trace_file
+        print(out, flush=True)
+        return 1, None, trace_file
     return proc.returncode, proc.stdout, trace_file
 
 
@@ -159,8 +170,6 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--small", action="store_true",
-                    help="reduced-size inputs (what --self-check uses)")
     ap.add_argument("--self-check", action="store_true")
     args = ap.parse_args()
     if not args.self_check and not args.workload:
@@ -170,8 +179,7 @@ def main():
         return 1
     if args.self_check:
         return self_check()
-    code, _, _ = run(args.workload, args.seed, args.seconds, args.trace,
-                     small=args.small)
+    code, _, _ = run(args.workload, args.seed, args.seconds, args.trace)
     return code
 
 

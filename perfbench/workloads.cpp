@@ -55,22 +55,12 @@ double fig4c_err(const std::vector<std::pair<double, double>>& base_issr) {
                   rel_err(peak, kFig4cPeakSpeedup));
 }
 
-Scenario scenario(Kernel k, Variant v, IndexWidth w, MatrixFamily f,
-                  std::uint32_t rows, std::uint32_t cols,
-                  std::uint32_t row_nnz, unsigned cores, unsigned clusters,
-                  std::uint64_t seed) {
-  Scenario s;
-  s.kernel = k;
-  s.variant = v;
-  s.width = w;
-  s.family = f;
-  s.rows = rows;
-  s.cols = cols;
-  s.density = static_cast<double>(row_nnz) / static_cast<double>(cols);
-  s.cores = cores;
-  s.clusters = clusters;
-  s.seed = driver::derive_seed(seed, k, f, s.density, rows, cols);
-  return s;
+/// Appends `m.expand()` to `out`: the scenarios `issr_run` would run for
+/// the same axes, with its seed derivation and its shape pinning (SpVV
+/// rows, square banded rows, torus rows at the stencil's own shape).
+void append(std::vector<Scenario>& out, const driver::ScenarioMatrix& m) {
+  const auto sc = m.expand();
+  out.insert(out.end(), sc.begin(), sc.end());
 }
 
 /// Span names are static strings (spans store the pointer).
@@ -148,36 +138,35 @@ std::vector<driver::Workload> generate_all(const std::vector<Scenario>& sc,
 class CcPaper final : public Workload {
  public:
   CcPaper(std::uint64_t seed, bool small) {
+    driver::ScenarioMatrix m;
+    m.base_seed = seed;
     // Fig. 4a: SpVV at nnz = 2048 (dim 2 * nnz, as bench/fig4a) plus one
     // long streaming point, BASE/SSR with 32-bit and ISSR with both
     // index widths.
-    const std::pair<Variant, IndexWidth> fig4a[] = {
-        {Variant::kBase, IndexWidth::kU32},
-        {Variant::kSsr, IndexWidth::kU32},
-        {Variant::kIssr, IndexWidth::kU16},
-        {Variant::kIssr, IndexWidth::kU32}};
+    m.kernels = {Kernel::kSpvv};
+    m.densities = {0.5};
     for (const std::uint32_t nnz : {kAnchorNnz, small ? 4096u : 16384u}) {
-      for (const auto& [v, w] : fig4a) {
-        sc_.push_back(scenario(Kernel::kSpvv, v, w, MatrixFamily::kUniform, 1,
-                               2 * nnz, nnz, 1, 1, seed));
-      }
+      m.cols = 2 * nnz;
+      m.variants = {Variant::kBase, Variant::kSsr};
+      m.widths = {IndexWidth::kU32};
+      append(sc_, m);
+      m.variants = {Variant::kIssr};
+      m.widths = {IndexWidth::kU16, IndexWidth::kU32};
+      append(sc_, m);
     }
-    // Fig. 4b shape: every variant x width over the four structure
-    // families at two densities.
-    const std::uint32_t rows = small ? 48 : 2048;
-    const std::uint32_t cols = small ? 96 : 512;
-    for (const Variant v : {Variant::kBase, Variant::kSsr, Variant::kIssr}) {
-      for (const IndexWidth w : {IndexWidth::kU16, IndexWidth::kU32}) {
-        for (const MatrixFamily f :
-             {MatrixFamily::kUniform, MatrixFamily::kBanded,
-              MatrixFamily::kPowerLaw, MatrixFamily::kTorus}) {
-          for (const std::uint32_t rn : {cols / 50, cols / 10}) {
-            sc_.push_back(scenario(Kernel::kCsrmv, v, w, f, rows, cols, rn, 1,
-                                   1, seed));
-          }
-        }
-      }
-    }
+    // Fig. 4b shape, as `issr_run --kernel csrmv --families
+    // uniform,banded,powerlaw,torus --densities 0.02,0.1 --rows 2048
+    // --cols 512`: every variant x width. Banded rows run square
+    // (512 x 512), torus rows once, at the stencil's 45^2 grid.
+    m.kernels = {Kernel::kCsrmv};
+    m.variants = {Variant::kBase, Variant::kSsr, Variant::kIssr};
+    m.widths = {IndexWidth::kU16, IndexWidth::kU32};
+    m.families ={MatrixFamily::kUniform, MatrixFamily::kBanded,
+                  MatrixFamily::kPowerLaw, MatrixFamily::kTorus};
+    m.densities = {0.02, 0.1};
+    m.rows = small ? 48 : 2048;
+    m.cols = small ? 96 : 512;
+    append(sc_, m);
   }
 
   void setup(Spans& spans) const override {
@@ -225,7 +214,7 @@ class CcPaper final : public Workload {
     return p;
   }
 
-  double paper_err(const Pass& p) const override {
+  double paper_err(const Pass& p, Pass&) const override {
     // Fig. 4a utilization anchors, from driver::paper_util_reference.
     double err = 0.0;
     for (std::size_t i = 0; i < sc_.size(); ++i) {
@@ -291,14 +280,18 @@ class ClusterFig4c final : public Workload {
   ClusterFig4c(std::uint64_t seed, bool small) {
     // Fig. 4c: BASE and ISSR-u16 on one 8-worker cluster, uniform rows,
     // ascending nnz/row (the first point is the nnz/row = 1 anchor).
-    const std::uint32_t rows = small ? 96 : 1024;
+    driver::ScenarioMatrix m;
+    m.variants = {Variant::kBase, Variant::kIssr};
+    m.widths = {IndexWidth::kU16};
+    m.densities.clear();
     for (const std::uint32_t rn : {1u, 4u, 16u, 64u, 128u}) {
-      for (const Variant v : {Variant::kBase, Variant::kIssr}) {
-        sc_.push_back(scenario(Kernel::kCsrmv, v, IndexWidth::kU16,
-                               MatrixFamily::kUniform, rows, kCols, rn,
-                               kWorkers, 1, seed));
-      }
+      m.densities.push_back(static_cast<double>(rn) / kCols);
     }
+    m.cores = {kWorkers};
+    m.rows = small ? 96 : 1024;
+    m.cols = kCols;
+    m.base_seed = seed;
+    append(sc_, m);
   }
 
   void setup(Spans& spans) const override { generate_all(sc_, spans); }
@@ -309,7 +302,7 @@ class ClusterFig4c final : public Workload {
     return p;
   }
 
-  double paper_err(const Pass& p) const override {
+  double paper_err(const Pass& p, Pass&) const override {
     std::vector<std::pair<double, double>> pairs;
     for (std::size_t i = 0; i + 1 < p.samples.size(); i += 2) {
       pairs.emplace_back(static_cast<double>(p.samples[i].core_cycles),
@@ -364,10 +357,18 @@ class SystemX8 final : public Workload {
         {MatrixFamily::kPowerLaw, 1024, 512, 24},
     };
     const std::uint32_t div = small ? 8 : 1;
-    for (const auto& m : mix) {
-      sc_.push_back(scenario(Kernel::kCsrmv, Variant::kIssr, IndexWidth::kU16,
-                             m.f, m.rows / div, m.cols / div, m.rn, kWorkers,
-                             kClusters, seed));
+    driver::ScenarioMatrix m;
+    m.variants = {Variant::kIssr};
+    m.widths = {IndexWidth::kU16};
+    m.cores = {kWorkers};
+    m.clusters = {kClusters};
+    m.base_seed = seed;
+    for (const auto& [f, rows, cols, rn] : mix) {
+      m.families = {f};
+      m.rows = rows / div;
+      m.cols = cols / div;
+      m.densities = {static_cast<double>(rn) / m.cols};
+      append(sc_, m);
     }
   }
 
@@ -403,7 +404,7 @@ class SystemX8 final : public Workload {
     return p;
   }
 
-  double paper_err(const Pass&) const override {
+  double paper_err(const Pass&, Pass& anchor_runs) const override {
     // The paper has no multi-cluster anchor: hold the System model at one
     // cluster (the paper's configuration) to the Fig. 4c anchors.
     const std::uint32_t rows = small_ ? 96 : 1024;
@@ -414,8 +415,10 @@ class SystemX8 final : public Workload {
           sparse::random_fixed_row_nnz_matrix(rng, rows, 512, rn);
       const auto x = sparse::random_dense_vector(rng, a.cols());
       const auto cycles = [&](Variant v) {
-        const auto r = driver::run_csrmv_sys(v, IndexWidth::kU16, 1, kWorkers,
-                                             a, x, nullptr, false);
+        const auto r =
+            driver::run_csrmv_sys(v, IndexWidth::kU16, 1, kWorkers, a, x);
+        ++anchor_runs.runs;
+        if (!r.ok || r.sys.system.fault) ++anchor_runs.failures;
         return static_cast<double>(r.sys.system.cycles);
       };
       pairs.emplace_back(cycles(Variant::kBase), cycles(Variant::kIssr));
@@ -446,7 +449,7 @@ class SystemX8 final : public Workload {
             *ws[i].csrmv_a, *ws[i].dense, nullptr, true, {}, tuning);
         span.add_work(r.sys.system.core_cycles());
         ++p.runs;
-        if (!r.ok) ++p.failures;
+        if (!r.ok || r.sys.system.fault) ++p.failures;
         (parallel ? par_s : serial_s) += seconds_since(t0);
         if (parallel) {
           cycles += r.sys.system.cycles;

@@ -62,8 +62,9 @@ class Workload {
   virtual Pass pass(Spans& spans) const = 0;
 
   /// Largest |model - paper| / paper over the anchors the workload
-  /// covers, from a completed pass.
-  virtual double paper_err(const Pass& pass) const = 0;
+  /// covers, from a completed pass. Simulations run only for the anchors
+  /// are counted in `anchor_runs` (runs and failures).
+  virtual double paper_err(const Pass& pass, Pass& anchor_runs) const = 0;
 
   /// Traced layer pass: call each layer directly, one span per call
   /// (work = core-cycles). The result's core_cycles must equal a pass's;
