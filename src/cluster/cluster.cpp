@@ -9,8 +9,10 @@
 
 namespace issr::cluster {
 
-Cluster::Cluster(const ClusterConfig& config,
-                 std::vector<isa::Program> worker_programs)
+Cluster::Cluster(
+    const ClusterConfig& config,
+    std::vector<std::shared_ptr<const isa::Program>> worker_programs,
+    CompiledCache* compiled_cache)
     : config_(config),
       programs_(std::move(worker_programs)),
       main_(config.shared_main != nullptr ? config.shared_main : &own_main_),
@@ -27,21 +29,28 @@ Cluster::Cluster(const ClusterConfig& config,
   }
   dma_ = std::make_unique<mem::Dma>(*tcdm_, *main_);
 
+  CompiledCache own_cache;
+  CompiledCache& cache =
+      compiled_cache != nullptr ? *compiled_cache : own_cache;
   for (unsigned w = 0; w < config_.num_workers; ++w) {
     core::CcParams cc = config_.cc;
     cc.core.hartid = w;
     assert(!cc.streamer.issr_lane.dedicated_idx_port &&
            "cluster model provides two TCDM ports per CC");
     workers_.push_back(std::make_unique<core::CoreComplex>(
-        cc, programs_[w], tcdm_->port(2 * w), tcdm_->port(2 * w + 1)));
+        cc, *programs_[w], tcdm_->port(2 * w), tcdm_->port(2 * w + 1)));
     workers_.back()->core().set_barrier_hook(
         [this](std::uint32_t hart) { return barrier_.poll(hart); });
     if (config_.compiled) {
       // Compiled dispatch + FREP replay only; the fused steady-state tick
       // needs the ideal two-port memory (TCDM responses interleave with
-      // other workers' traffic).
-      compiled_.push_back(
-          std::make_shared<const core::CompiledProgram>(programs_[w]));
+      // other workers' traffic). A translation is immutable, so every
+      // worker running the same program object shares one.
+      auto& cp = cache[programs_[w].get()];
+      if (!cp) {
+        cp = std::make_shared<const core::CompiledProgram>(*programs_[w]);
+      }
+      compiled_.push_back(cp);
       workers_.back()->core().set_compiled(compiled_.back().get());
       workers_.back()->fpss().set_compiled(compiled_.back().get());
     }

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/barrier.hpp"
@@ -121,13 +122,31 @@ class Cluster {
   /// engine skips them during fast-forwarded idle stretches).
   using Controller = std::function<void(Cluster&, cycle_t)>;
 
+  /// Compiled translations keyed by worker program object. A System lends
+  /// one to every cluster it builds, so a program object that several
+  /// clusters run is translated once.
+  using CompiledCache =
+      std::unordered_map<const isa::Program*,
+                         std::shared_ptr<const core::CompiledProgram>>;
+
+  /// `worker_programs` holds one program per worker. Workers handed the
+  /// same program object share it and, with the compiled tier on, one
+  /// translation of it, looked up in (and added to) `compiled_cache` when
+  /// one is given.
   Cluster(const ClusterConfig& config,
-          std::vector<isa::Program> worker_programs);
+          std::vector<std::shared_ptr<const isa::Program>> worker_programs,
+          CompiledCache* compiled_cache = nullptr);
 
   unsigned num_workers() const {
     return static_cast<unsigned>(workers_.size());
   }
   core::CoreComplex& worker(unsigned i) { return *workers_.at(i); }
+  /// Worker `i`'s program and its compiled translation (null when the
+  /// compiled tier is off).
+  const isa::Program& program(unsigned i) const { return *programs_.at(i); }
+  const core::CompiledProgram* compiled(unsigned i) const {
+    return compiled_.empty() ? nullptr : compiled_.at(i).get();
+  }
 
   mem::Tcdm& tcdm() { return *tcdm_; }
   mem::MainMemory& main_mem() { return *main_; }
@@ -236,9 +255,9 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  std::vector<isa::Program> programs_;
-  /// One compiled translation per worker program (empty when the
-  /// compiled tier is off).
+  std::vector<std::shared_ptr<const isa::Program>> programs_;
+  /// Per worker, the shared translation of its program object (empty when
+  /// the compiled tier is off).
   std::vector<std::shared_ptr<const core::CompiledProgram>> compiled_;
   std::unique_ptr<mem::Tcdm> tcdm_;
   mem::MainMemory own_main_;

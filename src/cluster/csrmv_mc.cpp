@@ -23,9 +23,10 @@ McCsrmvResult run_csrmv_multicore(const sparse::CsrMatrix& a,
   McTilePlan plan = plan_tiles(a, cfg);
 
   // Worker programs.
-  std::vector<isa::Program> programs;
+  std::vector<std::shared_ptr<const isa::Program>> programs;
   for (unsigned w = 0; w < cfg.cluster.num_workers; ++w) {
-    programs.push_back(build_shard_worker_program(a, plan, cfg, w));
+    programs.push_back(std::make_shared<const isa::Program>(
+        build_shard_worker_program(a, plan, cfg, w)));
   }
 
   Cluster cluster(cfg.cluster, std::move(programs));

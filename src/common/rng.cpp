@@ -78,12 +78,15 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   assert(lo <= hi);
   const std::uint64_t span = hi - lo + 1;  // span == 0 means full 2^64 range
   if (span == 0) return eng_();
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = (~0ull) - ((~0ull) % span + 1) % span;
-  std::uint64_t draw;
-  do {
-    draw = eng_();
-  } while (draw > limit);
+  // Rejection sampling to avoid modulo bias: accept draws <= limit, where
+  // [0, limit] holds a whole number of spans. limit >= 2^64 - span, so
+  // the divisions that compute it are needed only for a larger draw (the
+  // same draws are accepted either way).
+  std::uint64_t draw = eng_();
+  if (draw > 0 - span) {
+    const std::uint64_t limit = (~0ull) - ((~0ull) % span + 1) % span;
+    while (draw > limit) draw = eng_();
+  }
   return lo + draw % span;
 }
 

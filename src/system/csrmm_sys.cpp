@@ -369,7 +369,7 @@ void CsrmmShardController::operator()(Cluster& cl, cycle_t now) {
 /// to two kinds: the full col_block and (when b_cols is not a multiple)
 /// the partial last phase.
 struct StealMmWorkerImage {
-  isa::Program program;
+  std::shared_ptr<const isa::Program> program;
   std::vector<addr_t> body_pc[2];  ///< [kind][2 * tile + buffer]
   addr_t epilogue_pc = 0;
 };
@@ -468,7 +468,7 @@ StealMmWorkerImage build_steal_csrmm_worker(const sparse::CsrMatrix& a,
     kernels::emit_sync_and_disable(as);
   }
   kernels::emit_halt(as);
-  img.program = as.assemble();
+  img.program = std::make_shared<const isa::Program>(as.assemble());
   return img;
 }
 
@@ -830,7 +830,7 @@ SysCsrmmResult run_csrmm_system(const sparse::CsrMatrix& a,
   result.shard_begin = partition_rows_balanced(a, n);
   result.steal = cfg.steal && n > 1;
 
-  std::vector<std::vector<isa::Program>> programs(n);
+  std::vector<std::vector<std::shared_ptr<const isa::Program>>> programs(n);
   std::vector<StealMmWorkerImage> images;
   if (result.steal) {
     std::uint64_t total = 0;
@@ -859,8 +859,8 @@ SysCsrmmResult run_csrmm_system(const sparse::CsrMatrix& a,
       result.plans.push_back(plan_csrmm_shard(
           a, b_cols, cfg, result.shard_begin[c], result.shard_begin[c + 1]));
       for (unsigned w = 0; w < workers; ++w) {
-        programs[c].push_back(
-            build_csrmm_worker(a, result.plans[c], cfg, b_cols, w));
+        programs[c].push_back(std::make_shared<const isa::Program>(
+            build_csrmm_worker(a, result.plans[c], cfg, b_cols, w)));
       }
     }
   }

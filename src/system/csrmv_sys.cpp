@@ -85,16 +85,17 @@ class SysCsrmvController {
 
 // ---------------------------------------------------------------------------
 // Dynamic work stealing (system/steal.hpp): every cluster gets the same
-// fine-grained global tile plan and the same per-worker programs; tiles
-// are claimed at run time from the shared SysWorkQueue and dispatched
-// to the workers through the TCDM mailbox protocol.
+// fine-grained global tile plan and the same per-worker program objects
+// (the System holds and translates each once); tiles are claimed at run
+// time from the shared SysWorkQueue and dispatched to the workers through
+// the TCDM mailbox protocol.
 
 /// One worker's program plus the dispatch table the DMCC needs: the
 /// instruction address of each (tile, buffer) body and of the halt
 /// epilogue. Addresses are per worker — body sizes vary with the row
 /// share and li expansion.
 struct StealWorkerImage {
-  isa::Program program;
+  std::shared_ptr<const isa::Program> program;
   std::vector<addr_t> body_pc;  ///< [plan.buf.size() * tile + buffer]
   addr_t epilogue_pc = 0;
 };
@@ -179,7 +180,7 @@ StealWorkerImage build_steal_csrmv_worker(const sparse::CsrMatrix& a,
     kernels::emit_sync_and_disable(as);
   }
   kernels::emit_halt(as);
-  img.program = as.assemble();
+  img.program = std::make_shared<const isa::Program>(as.assemble());
   return img;
 }
 
@@ -488,7 +489,7 @@ SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
   mc.cluster = cfg.system.cluster;
   mc.max_tile_rows = cfg.max_tile_rows;
 
-  std::vector<std::vector<isa::Program>> programs(n);
+  std::vector<std::vector<std::shared_ptr<const isa::Program>>> programs(n);
   std::vector<StealWorkerImage> images;
   if (result.steal) {
     // One fine-grained global plan: every cluster compiles every tile.
@@ -520,8 +521,8 @@ SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
       result.plans.push_back(plan_tiles_range(
           a, mc, result.shard_begin[c], result.shard_begin[c + 1]));
       for (unsigned w = 0; w < workers; ++w) {
-        programs[c].push_back(
-            cluster::build_shard_worker_program(a, result.plans[c], mc, w));
+        programs[c].push_back(std::make_shared<const isa::Program>(
+            cluster::build_shard_worker_program(a, result.plans[c], mc, w)));
       }
     }
   }

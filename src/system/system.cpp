@@ -17,8 +17,10 @@ mem::InterconnectConfig noc_config(const SystemConfig& config) {
 
 }  // namespace
 
-System::System(const SystemConfig& config,
-               std::vector<std::vector<isa::Program>> programs_per_cluster)
+System::System(
+    const SystemConfig& config,
+    std::vector<std::vector<std::shared_ptr<const isa::Program>>>
+        programs_per_cluster)
     : config_(config),
       noc_(noc_config(config)),
       barrier_(config.num_clusters, config.barrier_hop_latency,
@@ -26,6 +28,7 @@ System::System(const SystemConfig& config,
   assert(config_.num_clusters >= 1);
   assert(programs_per_cluster.size() == config_.num_clusters);
   if (config_.arena != nullptr) main_.store().set_arena(config_.arena);
+  Cluster::CompiledCache compiled;
   for (unsigned c = 0; c < config_.num_clusters; ++c) {
     ClusterConfig cc = config_.cluster;
     cc.shared_main = &main_;
@@ -33,10 +36,11 @@ System::System(const SystemConfig& config,
     // The System's engine owns fast-forward; a cluster's own run() is
     // never invoked, so its flag is irrelevant, but keep them coherent.
     cc.fast_forward = config_.fast_forward;
-    clusters_.push_back(
-        std::make_unique<Cluster>(cc, std::move(programs_per_cluster[c])));
+    clusters_.push_back(std::make_unique<Cluster>(
+        cc, std::move(programs_per_cluster[c]), &compiled));
     clusters_.back()->dma().set_noc(&noc_, c);
   }
+  compiled_programs_ = compiled.size();
 }
 
 void System::attach_trace(trace::TraceSink& sink) {
@@ -118,6 +122,7 @@ SystemResult System::run(cycle_t max_cycles) {
   result.cycles = now;
   result.ff_skipped = er.skipped;
   result.aborted = aborted;
+  result.compiled_programs = compiled_programs_;
   // The run is over (or truncated): lift the interconnect budgets so
   // each cluster's harvest drain can flush pending stores unthrottled,
   // then restore them — a System must stay configured as built.

@@ -94,6 +94,10 @@ struct SystemResult {
   /// the serial engine did). Observational and host-dependent — surfaced
   /// by --metrics / --perf-report, never serialized into result files.
   ParStats par;
+  /// Compiled translations the workers ran on: one per distinct worker
+  /// program object, 0 with the compiled tier off. Host-side, never
+  /// serialized.
+  std::size_t compiled_programs = 0;
 
   /// Attribution denominator: cycles x total worker count.
   std::uint64_t core_cycles() const {
@@ -132,9 +136,13 @@ struct SystemResult {
 class System {
  public:
   /// `programs_per_cluster` must hold `num_clusters` entries of
-  /// `cluster.num_workers` worker programs each.
+  /// `cluster.num_workers` worker programs each. A program object handed
+  /// to several clusters (the work-stealing kernels give every cluster
+  /// the same worker images) is held once and, with the compiled tier
+  /// on, translated once for every worker that runs it.
   System(const SystemConfig& config,
-         std::vector<std::vector<isa::Program>> programs_per_cluster);
+         std::vector<std::vector<std::shared_ptr<const isa::Program>>>
+             programs_per_cluster);
 
   unsigned num_clusters() const {
     return static_cast<unsigned>(clusters_.size());
@@ -163,6 +171,7 @@ class System {
   mem::Interconnect noc_;
   SysBarrier barrier_;
   std::vector<std::unique_ptr<Cluster>> clusters_;
+  std::size_t compiled_programs_ = 0;  ///< SystemResult::compiled_programs
   /// Order-restoring interposer between the simulation and the user's
   /// sink, created by attach_trace (null when untraced). Interposed for
   /// serial runs too (where it is a transparent passthrough), so traced

@@ -49,7 +49,7 @@ TEST(Cluster, WorkersShareTcdmAndBarrier) {
   ClusterConfig cfg;
   const addr_t slots = cfg.tcdm.base;
   const addr_t sums = cfg.tcdm.base + 8 * 8;
-  std::vector<isa::Program> programs;
+  std::vector<std::shared_ptr<const isa::Program>> programs;
   for (unsigned w = 0; w < cfg.num_workers; ++w) {
     Assembler a;
     a.csrrs(kT0, kCsrMhartid, kZero);
@@ -69,7 +69,7 @@ TEST(Cluster, WorkersShareTcdmAndBarrier) {
     a.add(kT1, kT1, kT2);
     a.sd(kT3, kT1, 0);
     kernels::emit_halt(a);
-    programs.push_back(a.assemble());
+    programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
   Cluster cluster(cfg, std::move(programs));
   const auto result = cluster.run(1'000'000);

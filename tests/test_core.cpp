@@ -412,7 +412,7 @@ TEST(FrepEdge, ReplayOutlivesProgramEnd) {
   // behind it: replay keeps draining past the halt, and quiescence must
   // wait for the sequencer rather than truncate the loop.
   run_both_tiers_pinned(
-      [&](CcSim& sim, Assembler& a) {
+      [&](CcSim&, Assembler& a) {
         a.li(kT0, 1);
         a.fcvt_d_w(kFa1, kT0);  // fa1 = 1.0
         a.fzero(kFa0);

@@ -152,12 +152,12 @@ TEST(Watchdog, ClusterBarrierDropIsExactDeadlock) {
   // every core on the barrier CSR with an empty event horizon, so the
   // watchdog proves the wedge the cycle it happens — no budget needed.
   cluster::ClusterConfig cfg;
-  std::vector<isa::Program> programs;
+  std::vector<std::shared_ptr<const isa::Program>> programs;
   for (unsigned w = 0; w < cfg.num_workers; ++w) {
     isa::Assembler a;
     kernels::emit_barrier(a);
     kernels::emit_halt(a);
-    programs.push_back(a.assemble());
+    programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
   cluster::Cluster cl(cfg, std::move(programs));
   cl.barrier().inject_drop_next_release();
@@ -175,12 +175,12 @@ TEST(Watchdog, ClusterBarrierDropIsExactDeadlock) {
 
 TEST(Watchdog, CleanBarrierRunHasNoFault) {
   cluster::ClusterConfig cfg;
-  std::vector<isa::Program> programs;
+  std::vector<std::shared_ptr<const isa::Program>> programs;
   for (unsigned w = 0; w < cfg.num_workers; ++w) {
     isa::Assembler a;
     kernels::emit_barrier(a);
     kernels::emit_halt(a);
-    programs.push_back(a.assemble());
+    programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
   cluster::Cluster cl(cfg, std::move(programs));
   const auto r = cl.run(1'000'000);
@@ -379,12 +379,12 @@ TEST(CompiledParity, CycleLimitFaultsAtIdenticalCycle) {
 TEST(CompiledParity, ClusterBarrierDropDeadlocksAtIdenticalCycle) {
   const auto wedge = [] {
     cluster::ClusterConfig cfg;
-    std::vector<isa::Program> programs;
+    std::vector<std::shared_ptr<const isa::Program>> programs;
     for (unsigned w = 0; w < cfg.num_workers; ++w) {
       isa::Assembler a;
       kernels::emit_barrier(a);
       kernels::emit_halt(a);
-      programs.push_back(a.assemble());
+      programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
     }
     cluster::Cluster cl(cfg, std::move(programs));
     cl.barrier().inject_drop_next_release();

@@ -51,7 +51,7 @@ TEST(ParEngine, ResolveHostThreadsClampsAndAutoDetects) {
 TEST(ParEngine, NextSeamComposesProbeAndDmaBounds) {
   cluster::ClusterConfig cfg;
   cfg.num_workers = 1;
-  cluster::Cluster cl(cfg, {isa::Program{}});
+  cluster::Cluster cl(cfg, {std::make_shared<const isa::Program>()});
 
   // No controller: the cluster is seam-free until an external event.
   EXPECT_EQ(cl.next_seam(10), kCycleNever);

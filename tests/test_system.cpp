@@ -2,9 +2,10 @@
 // ordering and latency, the cost-balanced row partition, golden-reference
 // equality of the cross-cluster CsrMV/CsrMM kernels for every generator
 // family at 1/2/4/8 clusters, fast-forward on/off identity, shared-memory
-// bandwidth contention, and the driver integration (clusters axis: result
-// files bytewise identical across --jobs, dry-run cost column matching
-// the scheduler's estimate).
+// bandwidth contention, worker images shared across clusters (one
+// translation per distinct program object), and the driver integration
+// (clusters axis: result files bytewise identical across --jobs, dry-run
+// cost column matching the scheduler's estimate).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,6 +15,8 @@
 #include "driver/runner.hpp"
 #include "driver/scenario.hpp"
 #include "driver/sweep.hpp"
+#include "isa/assembler.hpp"
+#include "kernels/kargs.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/reference.hpp"
 #include "system/barrier.hpp"
@@ -566,6 +569,113 @@ TEST(SystemCsrmm, FastForwardIdentity) {
   const auto ref = run_csrmm_system(a, b, cfg);
   EXPECT_EQ(ff.system.cycles, ref.system.cycles);
   EXPECT_TRUE(sparse::allclose(ff.y, ref.y, 0.0, 0.0));
+}
+
+// --- Shared worker images ----------------------------------------------------
+
+// A System holds each distinct worker program object once and translates
+// it once: every worker handed the same object runs the same Program and
+// CompiledProgram, while content-equal but distinct objects stay separate.
+TEST(SystemImages, WorkersHandedOneProgramObjectShareItsTranslation) {
+  SystemConfig cfg;
+  cfg.num_clusters = 3;
+  cfg.cluster.num_workers = 2;
+  cfg.cluster.compiled = true;
+  const auto image = [](unsigned w) {
+    isa::Assembler a;
+    a.li(isa::kT0, static_cast<std::int64_t>(w));
+    kernels::emit_halt(a);
+    return std::make_shared<const isa::Program>(a.assemble());
+  };
+  const std::shared_ptr<const isa::Program> shared[] = {image(0), image(1)};
+  const auto own = image(0);  // content-equal to shared[0], distinct object
+  std::vector<std::vector<std::shared_ptr<const isa::Program>>> programs = {
+      {shared[0], shared[1]}, {shared[0], shared[1]}, {own, shared[1]}};
+  System sys(cfg, programs);
+  for (unsigned c = 0; c < 3; ++c) {
+    for (unsigned w = 0; w < 2; ++w) {
+      EXPECT_EQ(&sys.cluster(c).program(w), programs[c][w].get());
+      ASSERT_NE(sys.cluster(c).compiled(w), nullptr);
+    }
+    EXPECT_EQ(sys.cluster(c).compiled(1), sys.cluster(0).compiled(1));
+  }
+  EXPECT_EQ(sys.cluster(1).compiled(0), sys.cluster(0).compiled(0));
+  EXPECT_NE(sys.cluster(2).compiled(0), sys.cluster(0).compiled(0));
+  EXPECT_NE(sys.cluster(0).compiled(1), sys.cluster(0).compiled(0));
+  const auto r = sys.run(100'000);
+  EXPECT_FALSE(r.aborted);
+  EXPECT_EQ(r.compiled_programs, 3u);
+
+  cfg.cluster.compiled = false;
+  System interp(cfg, programs);
+  for (unsigned c = 0; c < 3; ++c) {
+    for (unsigned w = 0; w < 2; ++w) {
+      EXPECT_EQ(interp.cluster(c).compiled(w), nullptr);
+    }
+  }
+  EXPECT_EQ(interp.run(100'000).compiled_programs, 0u);
+}
+
+// The stealing kernels give all eight clusters the same eight worker
+// images: 8 translations, not 64. The static path builds one program per
+// (cluster, worker) and keeps them; with the compiled tier off nothing is
+// translated. Every run still matches the golden reference, and the tier
+// never changes a cycle or a result bit.
+TEST(SystemImages, StealingCsrmvTranslatesEachWorkerImageOnce) {
+  Rng rng(2300);
+  const auto a = sparse::generate_matrix(rng, sparse::MatrixFamily::kPowerLaw,
+                                         256, 192, 14);
+  const auto x = sparse::random_dense_vector(rng, a.cols());
+  const auto want = sparse::ref_csrmv(a, x);
+  SysCsrmvConfig cfg;
+  cfg.system.num_clusters = 8;
+  cfg.system.cluster.compiled = true;
+  const auto steal = run_csrmv_system(a, x, cfg);
+  ASSERT_TRUE(steal.steal);
+  EXPECT_EQ(steal.system.compiled_programs, 8u);
+  EXPECT_TRUE(sparse::allclose(steal.y, want, 1e-9, 1e-9));
+
+  cfg.steal = false;
+  const auto fixed = run_csrmv_system(a, x, cfg);
+  ASSERT_FALSE(fixed.steal);
+  EXPECT_EQ(fixed.system.compiled_programs, 64u);
+  EXPECT_TRUE(sparse::allclose(fixed.y, want, 1e-9, 1e-9));
+
+  cfg.steal = true;
+  cfg.system.cluster.compiled = false;
+  const auto interp = run_csrmv_system(a, x, cfg);
+  EXPECT_EQ(interp.system.compiled_programs, 0u);
+  EXPECT_EQ(interp.system.cycles, steal.system.cycles);
+  EXPECT_TRUE(sparse::allclose(interp.y, steal.y, 0.0, 0.0));
+}
+
+TEST(SystemImages, StealingCsrmmTranslatesEachWorkerImageOnce) {
+  Rng rng(2301);
+  const auto a = sparse::generate_matrix(rng, sparse::MatrixFamily::kUniform,
+                                         96, 128, 10);
+  const auto b = sparse::random_dense_matrix(rng, a.cols(), 10);
+  const auto want = sparse::ref_csrmm(a, b);
+  SysCsrmmConfig cfg;
+  cfg.system.num_clusters = 8;
+  cfg.system.cluster.compiled = true;
+  cfg.col_block = 4;
+  const auto steal = run_csrmm_system(a, b, cfg);
+  ASSERT_TRUE(steal.steal);
+  EXPECT_EQ(steal.system.compiled_programs, 8u);
+  EXPECT_TRUE(sparse::allclose(steal.y, want, 1e-9, 1e-9));
+
+  cfg.steal = false;
+  const auto fixed = run_csrmm_system(a, b, cfg);
+  ASSERT_FALSE(fixed.steal);
+  EXPECT_EQ(fixed.system.compiled_programs, 64u);
+  EXPECT_TRUE(sparse::allclose(fixed.y, want, 1e-9, 1e-9));
+
+  cfg.steal = true;
+  cfg.system.cluster.compiled = false;
+  const auto interp = run_csrmm_system(a, b, cfg);
+  EXPECT_EQ(interp.system.compiled_programs, 0u);
+  EXPECT_EQ(interp.system.cycles, steal.system.cycles);
+  EXPECT_TRUE(sparse::allclose(interp.y, steal.y, 0.0, 0.0));
 }
 
 // --- Driver integration: the clusters axis ---------------------------------
