@@ -3,12 +3,15 @@
 // equality of the cross-cluster CsrMV/CsrMM kernels for every generator
 // family at 1/2/4/8 clusters, fast-forward on/off identity, shared-memory
 // bandwidth contention, worker images shared across clusters (one
-// translation per distinct program object), and the driver integration
+// translation per distinct program object), golden pins of both kernels'
+// cycles, stalls, tile owners and result bytes, and the driver integration
 // (clusters axis: result files bytewise identical across --jobs, dry-run
 // cost column matching the scheduler's estimate).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "driver/report.hpp"
@@ -676,6 +679,229 @@ TEST(SystemImages, StealingCsrmmTranslatesEachWorkerImageOnce) {
   EXPECT_EQ(interp.system.compiled_programs, 0u);
   EXPECT_EQ(interp.system.cycles, steal.system.cycles);
   EXPECT_TRUE(sparse::allclose(interp.y, steal.y, 0.0, 0.0));
+}
+
+// --- Golden pins -------------------------------------------------------------
+
+// The System kernels' observable behaviour, pinned to fixed values: both
+// kernels, static and stealing, at 1/2/8 clusters. Each run condenses to
+// one line — system cycles, core-cycles, the nine stall buckets, the tile
+// -> cluster ownership map (length and hash), the claim-queue counters
+// (CsrMV only; CsrMM reports none) and an FNV-1a hash of y's bytes — so a
+// mismatch prints the whole actual line next to the expected one.
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string pin_line(const SystemResult& s, const std::vector<unsigned>& owner,
+                     const SysQueueStats* queue, const double* y,
+                     std::size_t n) {
+  const auto u = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  char buf[512];
+  int len = std::snprintf(buf, sizeof buf, "cyc=%llu core=%llu st=",
+                          u(s.cycles), u(s.core_cycles()));
+  const auto stalls = s.total_stalls();
+  for (unsigned b = 0; b < trace::kNumBuckets; ++b) {
+    len += std::snprintf(buf + len, sizeof buf - len, "%s%llu", b ? "/" : "",
+                         u(stalls.counts[b]));
+  }
+  len += std::snprintf(buf + len, sizeof buf - len, " own=%zu:%016llx",
+                       owner.size(),
+                       u(fnv1a(owner.data(), owner.size() * sizeof(unsigned))));
+  if (queue) {
+    len += std::snprintf(buf + len, sizeof buf - len,
+                         " q=%llu/%llu/%llu/%llu/%llu", u(queue->claims),
+                         u(queue->claim_wait_cycles), u(queue->claim_wait_max),
+                         u(queue->send_denied), u(queue->deliver_denied));
+  }
+  std::snprintf(buf + len, sizeof buf - len, " y=%016llx%s",
+                u(fnv1a(y, n * sizeof(double))), s.fault ? " FAULT" : "");
+  return buf;
+}
+
+struct GoldenCase {
+  const char* name;
+  char mat;  ///< 'u' uniform, 'p' power-law, 'f' fewer rows than clusters
+  Variant variant;
+  unsigned clusters;
+  bool steal;
+  std::uint32_t b_cols;  ///< 0 = CsrMV
+  std::uint32_t ldb;     ///< CsrMM leading dimension (0 = b_cols)
+  const char* want;
+};
+
+sparse::CsrMatrix golden_matrix(char mat, bool csrmm) {
+  Rng rng(csrmm ? 2410 : 2400);
+  const std::uint32_t rows = csrmm ? 64 : 128;
+  const std::uint32_t cols = csrmm ? 96 : 160;
+  switch (mat) {
+    case 'p':
+      return sparse::generate_matrix(rng, sparse::MatrixFamily::kPowerLaw,
+                                     rows, cols, 10);
+    case 'f':
+      return sparse::random_fixed_row_nnz_matrix(rng, 3, cols, 8);
+    default:
+      return sparse::generate_matrix(rng, sparse::MatrixFamily::kUniform,
+                                     rows, cols, 10);
+  }
+}
+
+std::string golden_run(const GoldenCase& g) {
+  const auto a = golden_matrix(g.mat, g.b_cols != 0);
+  Rng rng(2420);
+  if (g.b_cols == 0) {
+    const auto x = sparse::random_dense_vector(rng, a.cols());
+    SysCsrmvConfig cfg;
+    cfg.variant = g.variant;
+    cfg.system.num_clusters = g.clusters;
+    cfg.steal = g.steal;
+    const auto r = run_csrmv_system(a, x, cfg);
+    EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
+    return pin_line(r.system, r.tile_owner, &r.queue, r.y.data(), r.y.size());
+  }
+  const auto b = sparse::random_dense_matrix(
+      rng, a.cols(), g.b_cols, g.ldb ? g.ldb : g.b_cols);
+  SysCsrmmConfig cfg;
+  cfg.variant = g.variant;
+  cfg.system.num_clusters = g.clusters;
+  cfg.steal = g.steal;
+  cfg.col_block = 4;
+  const auto r = run_csrmm_system(a, b, cfg);
+  EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmm(a, b), 1e-9, 1e-9));
+  return pin_line(r.system, r.tile_owner, nullptr, r.y.data(),
+                  r.y.storage_elems());
+}
+
+constexpr Variant kI = Variant::kIssr;
+constexpr Variant kB = Variant::kBase;
+
+const GoldenCase kGolden[] = {
+    // CsrMV: uniform and power-law, static and stealing, 1/2/8 clusters.
+    {"mv_u_x1", 'u', kI, 1, true, 0, 0,
+     "cyc=753 core=6024 st=1664/3664/0/0/0/454/0/242/0 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=add00ae473403c4c"},
+    {"mv_u_x2_static", 'u', kI, 2, false, 0, 0,
+     "cyc=439 core=7024 st=1664/4277/0/2/0/449/0/632/0 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=add00ae473403c4c"},
+    {"mv_u_x2_steal", 'u', kI, 2, true, 0, 0,
+     "cyc=563 core=9008 st=1664/6711/0/0/0/14/0/619/0 "
+     "own=8:ac656652d59d14f5 q=10/268/29/0/187 y=add00ae473403c4c"},
+    {"mv_u_x8_static", 'u', kI, 8, false, 0, 0,
+     "cyc=221 core=14144 st=1664/8448/0/57/0/541/0/3434/0 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=add00ae473403c4c"},
+    {"mv_u_x8_steal", 'u', kI, 8, true, 0, 0,
+     "cyc=450 core=28800 st=1664/25024/0/0/0/44/0/2068/0 "
+     "own=32:d59736111143fec5 q=40/536/27/0/139 y=add00ae473403c4c"},
+    {"mv_p_x1", 'p', kI, 1, true, 0, 0,
+     "cyc=739 core=5912 st=998/2903/0/0/0/357/112/1536/6 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=fcd6b8d8b087f38e"},
+    {"mv_p_x2_static", 'p', kI, 2, false, 0, 0,
+     "cyc=441 core=7056 st=998/3497/0/0/0/338/109/2109/5 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=fcd6b8d8b087f38e"},
+    {"mv_p_x2_steal", 'p', kI, 2, true, 0, 0,
+     "cyc=860 core=13760 st=998/12195/0/0/0/10/93/464/0 "
+     "own=10:3ce608d29e4cad04 q=12/217/31/0/120 y=fcd6b8d8b087f38e"},
+    {"mv_p_x8_static", 'p', kI, 8, false, 0, 0,
+     "cyc=402 core=25728 st=998/6960/0/22/0/409/92/17247/0 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=fcd6b8d8b087f38e"},
+    {"mv_p_x8_steal", 'p', kI, 8, true, 0, 0,
+     "cyc=534 core=34176 st=998/25663/0/0/0/27/90/7398/0 "
+     "own=33:7c723997f36d0a96 q=41/512/25/0/140 y=fcd6b8d8b087f38e"},
+    {"mv_u_base_x1", 'u', kB, 1, true, 0, 0,
+     "cyc=1930 core=15440 st=1280/13441/0/0/0/529/0/190/0 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=a20931d9fdb5afb1"},
+    {"mv_u_base_x8_steal", 'u', kB, 8, true, 0, 0,
+     "cyc=631 core=40384 st=1280/37824/0/0/0/8/0/1272/0 "
+     "own=32:575f8b432dbb3325 q=40/550/27/0/146 y=a20931d9fdb5afb1"},
+    {"mv_f_x8_static", 'f', kI, 8, false, 0, 0,
+     "cyc=151 core=9664 st=33/1266/0/24/0/42/0/8299/0 "
+     "own=0:cbf29ce484222325 q=0/0/0/0/0 y=5650b71bc73e1686"},
+    {"mv_f_x8_steal", 'f', kI, 8, true, 0, 0,
+     "cyc=166 core=10624 st=33/5160/0/0/0/0/0/5431/0 "
+     "own=3:756241e1be8c9396 q=11/214/27/0/98 y=5650b71bc73e1686"},
+    // CsrMM, col_block 4: one partial phase (b_cols 1), two full phases
+    // (8), two full plus a partial one (10).
+    {"mm_u_b1_x1", 'u', kI, 1, true, 1, 0,
+     "cyc=558 core=4464 st=832/2684/0/0/0/303/0/645/0 "
+     "own=0:cbf29ce484222325 y=13fd753f5d8fb537"},
+    {"mm_u_b1_x2_static", 'u', kI, 2, false, 1, 0,
+     "cyc=454 core=7264 st=832/5048/0/60/0/292/0/1032/0 "
+     "own=0:cbf29ce484222325 y=13fd753f5d8fb537"},
+    {"mm_u_b1_x2_steal", 'u', kI, 2, true, 1, 0,
+     "cyc=614 core=9824 st=832/8312/0/0/0/53/0/627/0 "
+     "own=8:42a4f02043f7f565 y=13fd753f5d8fb537"},
+    {"mm_u_b1_x8_static", 'u', kI, 8, false, 1, 0,
+     "cyc=403 core=25792 st=832/18760/0/125/0/635/0/5440/0 "
+     "own=0:cbf29ce484222325 y=13fd753f5d8fb537"},
+    {"mm_u_b1_x8_steal", 'u', kI, 8, true, 1, 0,
+     "cyc=685 core=43840 st=832/39280/0/0/0/33/0/3695/0 "
+     "own=32:9da9dc51a4e29675 y=13fd753f5d8fb537"},
+    {"mm_u_b8_x1", 'u', kI, 1, true, 8, 0,
+     "cyc=2681 core=21448 st=6656/13051/0/0/0/700/0/1041/0 "
+     "own=0:cbf29ce484222325 y=0e91358f3aa3c763"},
+    {"mm_u_b8_x2_static", 'u', kI, 2, false, 8, 0,
+     "cyc=1676 core=26816 st=6656/17548/0/1/0/802/0/1809/0 "
+     "own=0:cbf29ce484222325 y=0e91358f3aa3c763"},
+    {"mm_u_b8_x2_steal", 'u', kI, 2, true, 8, 0,
+     "cyc=2797 core=44752 st=6656/34086/0/0/0/230/0/3780/0 "
+     "own=16:cd821a20c1f95cc5 y=0e91358f3aa3c763"},
+    {"mm_u_b8_x8_static", 'u', kI, 8, false, 8, 0,
+     "cyc=955 core=61120 st=6656/45632/0/59/0/1691/0/7082/0 "
+     "own=0:cbf29ce484222325 y=0e91358f3aa3c763"},
+    {"mm_u_b8_x8_steal", 'u', kI, 8, true, 8, 0,
+     "cyc=2812 core=179968 st=6656/168296/0/0/0/74/0/4942/0 "
+     "own=64:c6180067eb98c2f5 y=0e91358f3aa3c763"},
+    {"mm_u_b10_x1", 'u', kI, 1, true, 10, 0,
+     "cyc=3499 core=27992 st=8320/17443/0/0/0/1073/0/1156/0 "
+     "own=0:cbf29ce484222325 y=b30f14ffebf6e6b5"},
+    {"mm_u_b10_x2_static", 'u', kI, 2, false, 10, 0,
+     "cyc=2210 core=35360 st=8320/23751/0/2/0/1185/0/2102/0 "
+     "own=0:cbf29ce484222325 y=b30f14ffebf6e6b5"},
+    {"mm_u_b10_x2_steal", 'u', kI, 2, true, 10, 0,
+     "cyc=3615 core=57840 st=8320/44520/0/0/0/262/0/4738/0 "
+     "own=24:9233956ce99e8575 y=b30f14ffebf6e6b5"},
+    {"mm_u_b10_x8_static", 'u', kI, 8, false, 10, 0,
+     "cyc=1362 core=87168 st=8320/68160/0/333/0/2176/0/8179/0 "
+     "own=0:cbf29ce484222325 y=b30f14ffebf6e6b5"},
+    {"mm_u_b10_x8_steal", 'u', kI, 8, true, 10, 0,
+     "cyc=3718 core=237952 st=8320/223132/0/0/0/130/0/6370/0 "
+     "own=96:74925340e619af75 y=b30f14ffebf6e6b5"},
+    {"mm_p_b10_x8_static", 'p', kI, 8, false, 10, 0,
+     "cyc=2486 core=159104 st=5420/129197/0/295/0/1862/403/21927/0 "
+     "own=0:cbf29ce484222325 y=9268ed6cbdb9336c"},
+    {"mm_p_b10_x8_steal", 'p', kI, 8, true, 10, 0,
+     "cyc=3781 core=241984 st=5420/229732/0/0/0/75/371/6386/0 "
+     "own=96:355d1541fad2ce40 y=9268ed6cbdb9336c"},
+    {"mm_u_b3_ld5_x2_static", 'u', kI, 2, false, 3, 5,
+     "cyc=685 core=10960 st=2496/6873/0/0/0/361/0/1230/0 "
+     "own=0:cbf29ce484222325 y=f3e7e0b6a5c2ab67"},
+    {"mm_u_b3_ld5_x2_steal", 'u', kI, 2, true, 3, 5,
+     "cyc=1116 core=17856 st=2496/13790/0/0/0/106/0/1464/0 "
+     "own=8:2d654b5220e38765 y=f3e7e0b6a5c2ab67"},
+    {"mm_u_base_b10_x8_steal", 'u', kB, 8, true, 10, 0,
+     "cyc=5579 core=357056 st=6400/348304/0/0/0/474/0/1878/0 "
+     "own=96:b75806b1cf4108e5 y=dd860926f6ba05b0"},
+    {"mm_f_b10_x8_static", 'f', kI, 8, false, 10, 0,
+     "cyc=1153 core=73792 st=330/22877/0/5/0/559/0/50021/0 "
+     "own=0:cbf29ce484222325 y=aa988a70b09905d0"},
+    {"mm_f_b10_x8_steal", 'f', kI, 8, true, 10, 0,
+     "cyc=1268 core=81152 st=330/68237/0/784/0/6/0/11795/0 "
+     "own=9:e73b851a3efdcf82 y=aa988a70b09905d0"},
+};
+
+TEST(SystemGolden, KernelsMatchPinnedCyclesStallsOwnersAndBytes) {
+  for (const auto& g : kGolden) {
+    EXPECT_EQ(golden_run(g), g.want) << g.name;
+  }
 }
 
 // --- Driver integration: the clusters axis ---------------------------------
