@@ -18,28 +18,29 @@ McCsrmvResult run_csrmv_multicore(const sparse::CsrMatrix& a,
                                   const McCsrmvConfig& cfg) {
   assert(a.cols() <= x.size());
   assert(cfg.width == IndexWidth::kU32 || a.fits_u16());
-  const unsigned iw = sparse::index_bytes(cfg.width);
-
   McTilePlan plan = plan_tiles(a, cfg);
 
   // Worker programs.
   std::vector<std::shared_ptr<const isa::Program>> programs;
   for (unsigned w = 0; w < cfg.cluster.num_workers; ++w) {
     programs.push_back(std::make_shared<const isa::Program>(
-        build_shard_worker_program(a, plan, cfg, w)));
+        build_shard_worker_program(a, plan, cfg, RowShare::kCostBalanced, w)));
   }
 
   Cluster cluster(cfg.cluster, std::move(programs));
 
   // Stage operands in main memory.
-  const CsrmvMainLayout main =
-      stage_csrmv_main(cluster.main_mem().store(), a, x, cfg.width);
+  const TileOperands ops = stage_operands(cluster.main_mem().store(), a,
+                                          cfg.width, x.data(), a.cols());
 
-  auto controller = std::make_shared<ShardController>(
-      plan, main, a, cfg.cluster.num_workers, iw,
-      [](Cluster& cl, cycle_t) { cl.set_controller_done(true); });
-  cluster.set_controller(
-      [controller](Cluster& cl, cycle_t now) { (*controller)(cl, now); });
+  // One column phase: the controller is done once its tiles have all
+  // written back.
+  auto controller =
+      std::make_shared<ShardController>(plan, ops, cfg.cluster.num_workers);
+  cluster.set_controller([controller](Cluster& cl, cycle_t) {
+    controller->tick(cl);
+    if (controller->phase_done()) cl.set_controller_done(true);
+  });
 
   if (cfg.trace_sink) cluster.attach_trace(*cfg.trace_sink);
   if (cfg.inject.drop_cluster_barrier) {
@@ -52,7 +53,7 @@ McCsrmvResult run_csrmv_multicore(const sparse::CsrMatrix& a,
   result.cluster =
       cfg.max_cycles != 0 ? cluster.run(cfg.max_cycles) : cluster.run();
   result.y = sparse::DenseVector(a.rows());
-  cluster.main_mem().store().read_doubles(main.y, result.y.data(), a.rows());
+  cluster.main_mem().store().read_doubles(ops.y, result.y.data(), a.rows());
   return result;
 }
 

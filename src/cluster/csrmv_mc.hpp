@@ -12,6 +12,7 @@
 // complete (after a store fence that orders its FP-side result stores).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,7 +40,12 @@ struct McCsrmvConfig {
   trace::TraceSink* trace_sink = nullptr;
 };
 
-/// The static tile plan (exposed for tests and benches).
+/// A tile plan: the TCDM layout and the greedy row tiling every tile
+/// controller (static and stealing, CsrMV and CsrMM) runs over. CsrMM adds
+/// a column-block factor: B is processed `col_block` columns per phase, so
+/// the dense-operand region holds a cols x col_block block and each y
+/// buffer a tile_rows x col_block block (both row-major, ld = col_block).
+/// CsrMV is the one-phase, one-column instance (col_block = num_cols = 1).
 struct McTilePlan {
   struct Tile {
     std::uint32_t row_begin;
@@ -49,19 +55,29 @@ struct McTilePlan {
   };
   std::vector<Tile> tiles;
   std::uint64_t tile_nnz_capacity = 0;
+  std::uint32_t num_cols = 1;   ///< columns of the dense operand (x: 1)
+  std::uint32_t col_block = 1;  ///< columns resident per phase (power of 2)
   // TCDM layout.
-  addr_t x_addr = 0;
-  addr_t flags_addr = 0;  ///< tile_ready[2] then done[num_workers], 8 B each
+  addr_t x_addr = 0;      ///< dense-operand block (x, or B's column block)
+  addr_t flags_addr = 0;  ///< tile_ready[2], steal words, done[num_workers]
   struct Buffer {
     addr_t ptr_addr;
     addr_t idcs_addr;
     addr_t vals_addr;
     addr_t y_addr;
   };
-  /// Tile staging buffers: the static scheme always plans two (classic
-  /// double buffering, tile t lands in buf[t % 2]); the stealing system
-  /// kernel may plan more to deepen worker run-ahead.
-  std::vector<Buffer> buf;
+  /// Double buffering: the static scheme stages generation g in buf[g % 2];
+  /// the stealing scheme loads each won tile into whichever is free.
+  Buffer buf[2];
+
+  /// Column phases: ceil(num_cols / col_block).
+  std::uint32_t num_phases() const {
+    return (num_cols + col_block - 1) / col_block;
+  }
+  /// Valid columns of phase `p` (col_block, or fewer in a partial last one).
+  std::uint32_t phase_cols(std::uint32_t p) const {
+    return std::min(col_block, num_cols - p * col_block);
+  }
 };
 
 struct McCsrmvResult {

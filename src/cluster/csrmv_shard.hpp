@@ -1,36 +1,58 @@
-// The per-cluster building blocks of the double-buffered CsrMV scheme,
-// shared between the single-cluster kernel (csrmv_mc.hpp) and the
-// multi-cluster system kernel (system/csrmv_sys.hpp): main-memory operand
-// staging, row-range tile planning, worker program construction, and the
-// DMCC controller state machine. Everything here operates on an absolute
-// row range [row_begin, row_end) of the matrix — the single-cluster kernel
-// passes the whole matrix, the system kernel one cost-balanced shard per
-// cluster — so the cycle-level behaviour of a one-cluster run is the same
-// code path either way.
+// The tile machinery of the paper's double-buffered scheme (§IV-B), shared
+// by every kernel that streams A through a cluster's TCDM in row tiles:
+// main-memory operand staging, the tile planner, the worker row shares,
+// the per-tile CsrMV body, the static worker program, the DMA jobs, and
+// the static DMCC controller. CsrMM (system/csrmm_sys.hpp) is the same
+// machinery with column phases: each phase loads a block of B's columns
+// and runs one CsrMV body per block column (§III-B). CsrMV is the
+// one-phase, one-column instance, so both kernels share one code path.
+//
+// Everything here operates on an absolute row range [row_begin, row_end)
+// of the matrix — the single-cluster kernel (csrmv_mc.hpp) passes the
+// whole matrix, the System's static path one cost-balanced shard per
+// cluster, its stealing path (system/steal.hpp) one global plan — so a
+// one-cluster run executes the same code either way. The kernels differ
+// only in data: the shapes of the dense operand and result (TileOperands),
+// the row-share rule, and the column count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/csrmv_mc.hpp"
+#include "isa/assembler.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 
 namespace issr::cluster {
 
-/// Main-memory staging layout for the CsrMV operands (absolute rows:
-/// every cluster addresses the same staged arrays).
-struct CsrmvMainLayout {
+/// A kernel's operands in main memory (absolute rows: every cluster
+/// addresses the same staged arrays) and the shape of its dense-operand
+/// and result DMA jobs. The dense operand (x, or B) is row-major with
+/// leading dimension x_ld elements, the result y with y_ld. CsrMV moves
+/// both as 1-D jobs; CsrMM as 2-D jobs even when they are contiguous — a
+/// 2-D job never moves a beat across a row, so the two shapes take
+/// different cycle counts and each kernel keeps its own.
+struct TileOperands {
   addr_t ptr = 0, idcs = 0, vals = 0, x = 0, y = 0;
+  std::uint32_t x_rows = 0;  ///< dense-operand rows a phase loads (A's cols)
+  std::uint32_t x_ld = 1;
+  std::uint32_t y_ld = 1;
+  unsigned index_bytes = 2;
+  bool two_d = false;
 };
 
-/// Lay out and write ptr/idcs/vals/x into `store` starting at
-/// MainMemory::kBase (64-byte aligned regions, y reserved but unwritten).
-CsrmvMainLayout stage_csrmv_main(mem::BackingStore& store,
-                                 const sparse::CsrMatrix& a,
-                                 const sparse::DenseVector& x,
-                                 sparse::IndexWidth width);
+/// Lay out and write ptr/idcs/vals and the `dense_elems` doubles of the
+/// dense operand into `store` from MainMemory::kBase (64-byte aligned
+/// regions; y reserved for rows x y_cols doubles, unwritten). The defaults
+/// describe CsrMV's x.
+TileOperands stage_operands(mem::BackingStore& store,
+                            const sparse::CsrMatrix& a,
+                            sparse::IndexWidth width, const double* dense,
+                            std::size_t dense_elems, std::uint32_t dense_ld = 1,
+                            std::uint32_t y_cols = 1, bool two_d = false);
 
 /// Per-row cost beyond its nonzeros: loop overhead, pointer fetch, and
 /// the result store (mirrors the rows*8 term of the sweep cost model;
@@ -41,24 +63,23 @@ inline constexpr std::uint64_t kRowCostOverhead = 8;
 /// [row_begin, row_end) under `cfg` (pure function; asserts if a single
 /// row exceeds the tile nnz capacity). Tile row/nnz coordinates are
 /// absolute, so worker programs and DMA transfers address the shared
-/// staged operands directly.
+/// staged operands directly. `num_cols` and `col_block` (a power of two)
+/// set the column phases; a CsrMV plan keeps both at 1.
 ///
-/// The trailing parameters serve the work-stealing system kernel
-/// (system/steal.hpp) and are inert at their defaults:
-/// `extra_flag_words` reserves that many additional 8-byte words between
-/// the tile-generation pair and the per-worker done flags (the steal
-/// protocol's ownership words), a nonzero `tile_cost_target` caps each
-/// tile's cost (nnz + kRowCostOverhead per row) to carve the range into
-/// fine-grained steal shards — a single row may still exceed it — and
-/// `num_buffers` picks how many tile staging buffers share the TCDM
-/// stream budget (>= 2; more buffers shrink tile_nnz_capacity but let a
-/// steal controller queue deeper worker run-ahead).
+/// Two parameters serve the work-stealing System kernels
+/// (system/steal.hpp) and are inert at their defaults: `extra_flag_words`
+/// reserves that many additional 8-byte words between the tile-generation
+/// pair and the per-worker done flags (the steal protocol's mailbox
+/// words), and a nonzero `tile_cost_target` caps each tile's cost
+/// (nnz + kRowCostOverhead per row) to carve the range into fine-grained
+/// steal shards — a single row may still exceed it.
 McTilePlan plan_tiles_range(const sparse::CsrMatrix& a,
                             const McCsrmvConfig& cfg,
                             std::uint32_t row_begin, std::uint32_t row_end,
                             unsigned extra_flag_words = 0,
                             std::uint64_t tile_cost_target = 0,
-                            unsigned num_buffers = 2);
+                            std::uint32_t num_cols = 1,
+                            std::uint32_t col_block = 1);
 
 /// Contiguous cost-balanced split of rows [row_begin, row_end) among
 /// `workers` cores: `workers + 1` monotonic boundaries, worker w owning
@@ -74,46 +95,84 @@ std::vector<std::uint32_t> split_rows_by_cost(const sparse::CsrMatrix& a,
                                               std::uint32_t row_end,
                                               unsigned workers);
 
-/// Build one worker's program over the plan's tiles: for each tile, poll
-/// the buffer's tile generation flag, run the CsrMV body over the
-/// worker's row share, fence the FP-side stores, and publish the worker's
-/// generation. Ends with streamer sync/disable (non-BASE) and a halt.
+/// How a tile's rows are shared among the workers: cost-balanced
+/// (split_rows_by_cost; CsrMV) or equal row counts (CsrMM).
+enum class RowShare { kCostBalanced, kUniform };
+
+/// Worker `worker`'s rows [first, second) of `tile` under `rule`.
+std::pair<std::uint32_t, std::uint32_t> worker_rows(
+    const sparse::CsrMatrix& a, const McTilePlan::Tile& tile, RowShare rule,
+    unsigned workers, unsigned worker);
+
+/// Emit one worker's share `rows` of `tile`, staged in buffer `buf`: one
+/// CsrMV body per column k < `cols` (x at &block[0][k], ISSR index shift
+/// log2(col_block), y stride col_block), then the store fence that orders
+/// the FP-side result stores before a following flag publish. Emits
+/// nothing for an empty share. At one column this is exactly the CsrMV
+/// body over x.
+void emit_tile_share(isa::Assembler& as, const sparse::CsrMatrix& a,
+                     const McTilePlan& plan, const McCsrmvConfig& cfg,
+                     const McTilePlan::Tile& tile, unsigned buf,
+                     std::pair<std::uint32_t, std::uint32_t> rows,
+                     std::uint32_t cols);
+
+/// Build one worker's static program: per phase, per tile (generation
+/// g = phase * tiles + tile, staged in buffer g % 2) — poll the buffer's
+/// generation flag, run the worker's share, publish done = g + 1. Ends
+/// with streamer sync/disable (non-BASE) and a halt.
 isa::Program build_shard_worker_program(const sparse::CsrMatrix& a,
                                         const McTilePlan& plan,
                                         const McCsrmvConfig& cfg,
-                                        unsigned worker);
+                                        RowShare share, unsigned worker);
 
-/// DMCC model for one cluster's shard: drives the x load, double-buffered
-/// tile loads, result write-back, and the TCDM flag protocol. Invoked
-/// once per cycle as the cluster's controller. `on_finished` runs exactly
-/// once, the cycle all tiles have written back — the single-cluster
-/// kernel marks the controller done there; the system kernel arrives at
-/// the inter-cluster barrier instead.
+/// The DMA jobs every tile controller issues. Phase `phase`'s dense
+/// operand block into plan.x_addr (one inbound job):
+void dma_load_block(mem::Dma& dma, const McTilePlan& plan,
+                    const TileOperands& ops, std::uint32_t phase);
+/// A tile's ptr/vals/idcs into buffer `buf` (three inbound jobs):
+void dma_load_tile(mem::Dma& dma, const McTilePlan& plan,
+                   const TileOperands& ops, unsigned buf,
+                   const McTilePlan::Tile& tile);
+/// A tile's y slice of phase `phase` from buffer `buf` (one outbound job):
+void dma_write_back(mem::Dma& dma, const McTilePlan& plan,
+                    const TileOperands& ops, unsigned buf,
+                    const McTilePlan::Tile& tile, std::uint32_t phase);
+
+/// Static DMCC model for one cluster's shard: per column phase, load the
+/// dense block, stream the tiles double-buffered (tile loads, the TCDM
+/// generation-flag protocol, y write-back), and stop once the phase's
+/// tiles have all written back. The owner advances it: the single-cluster
+/// kernel marks the controller done after its one phase, the System
+/// wrapper arrives at the inter-cluster barrier and starts the next phase
+/// on release. Ticked once per cycle.
 class ShardController {
  public:
-  using Completion = std::function<void(Cluster&, cycle_t)>;
+  ShardController(const McTilePlan& plan, const TileOperands& ops,
+                  unsigned num_workers);
 
-  ShardController(const McTilePlan& plan, const CsrmvMainLayout& main,
-                  const sparse::CsrMatrix& a, unsigned num_workers,
-                  unsigned index_bytes, Completion on_finished);
+  void tick(Cluster& cl);
 
-  void operator()(Cluster& cl, cycle_t now);
-
-  bool finished() const { return finished_; }
+  /// The current phase's tiles have all written back (inert until
+  /// next_phase).
+  bool phase_done() const { return phase_done_; }
+  void next_phase(Cluster& cl);
 
  private:
   enum class BufState { kIdle, kLoading, kReady, kWritingBack };
 
-  void start_tile_load(Cluster& cl, unsigned b, std::size_t tile);
+  std::uint64_t gen(std::size_t tile) const {
+    return static_cast<std::uint64_t>(phase_) * plan_.tiles.size() + tile;
+  }
+  void start_phase(Cluster& cl);
+  void start_tile_load(Cluster& cl, std::size_t tile);
 
   const McTilePlan& plan_;
-  CsrmvMainLayout main_;
-  const sparse::CsrMatrix& a_;
+  TileOperands ops_;
   unsigned num_workers_;
-  unsigned iw_;
-  Completion on_finished_;
 
   bool started_ = false;
+  bool phase_done_ = false;
+  std::uint32_t phase_ = 0;
   std::uint64_t queued_in_ = 0;   ///< inbound jobs queued so far
   std::uint64_t queued_out_ = 0;  ///< outbound jobs queued so far
   BufState state_[2] = {BufState::kIdle, BufState::kIdle};
@@ -122,7 +181,6 @@ class ShardController {
   std::uint64_t wb_marker_[2] = {0, 0};
   std::size_t next_tile_ = 0;
   std::size_t tiles_done_ = 0;
-  bool finished_ = false;
 };
 
 }  // namespace issr::cluster

@@ -2,17 +2,20 @@
 // system model, tiled in two dimensions (§III-B's third-order loop taken
 // cluster-scale):
 //  - dimension 1 (rows, across clusters): A's rows are sharded by the
-//    same static cost-balanced partition as csrmv_sys.hpp;
+//    same static cost-balanced partition as csrmv_sys.hpp, or claimed
+//    tile by tile from a per-phase queue under work stealing;
 //  - dimension 2 (columns of B, in time): B is processed in power-of-two
 //    column blocks. Per phase, each cluster 2-D-DMAs the block's C x cb
-//    slice of B into its TCDM, streams its shard's A tiles through the
+//    slice of B into its TCDM, streams its A tiles through the
 //    double-buffered scheme, and runs one CsrMV body per block column
 //    (ISSR index shift log2(cb) addresses the TCDM-resident block), then
 //    2-D-DMAs its Y tile slice back to shared main memory.
-// Clusters synchronize on the inter-cluster barrier between column
-// phases, so no cluster's phase-p+1 B-block load can race ahead while
-// another still streams phase p — which also bounds the burstiness the
-// shared memory sees. The final phase's barrier doubles as completion.
+// It runs on the System tile machinery CsrMV uses (run_tile_system in
+// csrmv_sys.hpp): CsrMV is its one-phase, one-column instance. Clusters
+// synchronize on the inter-cluster barrier between column phases, so no
+// cluster's phase-p+1 B-block load can race ahead while another still
+// streams phase p — which also bounds the burstiness the shared memory
+// sees. The final phase's barrier doubles as completion.
 #pragma once
 
 #include <cstdint>
@@ -39,27 +42,7 @@ struct SysCsrmmConfig {
   /// claimed from a per-phase shared queue instead of the static row
   /// partition. Only engages for num_clusters > 1.
   bool steal = true;
-  /// Steal granularity: target tiles per cluster (see csrmv_sys.hpp).
-  std::uint32_t steal_tiles_per_cluster = 4;
   trace::TraceSink* trace_sink = nullptr;
-};
-
-/// One cluster's plan: the TCDM layout (B-block region, flag words, two
-/// tile buffers) and the greedy row tiling of its shard.
-struct SysCsrmmPlan {
-  std::vector<cluster::McTilePlan::Tile> tiles;
-  std::uint64_t tile_nnz_capacity = 0;
-  std::uint32_t col_block = 0;   ///< cb: columns of B resident per phase
-  std::uint32_t num_phases = 0;  ///< ceil(b_cols / cb)
-  addr_t b_addr = 0;             ///< C x cb block, row-major, ld = cb
-  addr_t flags_addr = 0;         ///< tile_ready[2] then done[num_workers]
-  struct Buffer {
-    addr_t ptr_addr;
-    addr_t idcs_addr;
-    addr_t vals_addr;
-    addr_t y_addr;  ///< tile_rows x cb, row-major, ld = cb
-  };
-  Buffer buf[2];
 };
 
 struct SysCsrmmResult {
@@ -67,25 +50,15 @@ struct SysCsrmmResult {
   sparse::DenseMatrix y;  ///< rows x b_cols, ld = b_cols
   /// Static partition (with stealing: reported for comparison only).
   std::vector<std::uint32_t> shard_begin;
-  /// Per-cluster plans; with stealing every entry is the same global
-  /// fine-grained plan.
-  std::vector<SysCsrmmPlan> plans;
+  /// Per-cluster plans (col_block and num_cols set the phases); with
+  /// stealing every entry is the same global fine-grained plan.
+  std::vector<cluster::McTilePlan> plans;
   /// True when the run used the dynamic stealing path.
   bool steal = false;
   /// Steal mode only: tile ownership per phase, flattened as
   /// [phase * num_tiles + tile] -> claiming cluster.
   std::vector<unsigned> tile_owner;
 };
-
-/// Plan one cluster's shard (pure function; exposed for tests). The
-/// trailing parameters mirror cluster/csrmv_shard.hpp's
-/// plan_tiles_range: extra flag words and a per-tile cost cap for the
-/// work-stealing path's fine-grained global plan; inert at the defaults.
-SysCsrmmPlan plan_csrmm_shard(const sparse::CsrMatrix& a,
-                              std::uint32_t b_cols, const SysCsrmmConfig& cfg,
-                              std::uint32_t row_begin, std::uint32_t row_end,
-                              unsigned extra_flag_words = 0,
-                              std::uint64_t tile_cost_target = 0);
 
 /// Run Y = A*B on the simulated multi-cluster system.
 SysCsrmmResult run_csrmm_system(const sparse::CsrMatrix& a,

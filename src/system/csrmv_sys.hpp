@@ -1,21 +1,28 @@
-// Cross-cluster CsrMV (y = A*x) on the hierarchical system model: rows
-// are sharded across clusters by a static cost-balanced partition (each
-// shard gets an equal slice of nnz-plus-row-overhead work, the same
-// balance heuristic the sweep scheduler uses), and every cluster runs the
-// paper's double-buffered tile scheme (cluster/csrmv_shard.hpp) over its
-// shard against the shared, bandwidth-limited main memory. Each cluster
+// Cross-cluster CsrMV (y = A*x) on the hierarchical system model, and the
+// System set-up every tile kernel shares (CsrMM, system/csrmm_sys.hpp, is
+// the same run with column phases; CsrMV is its one-phase, one-column
+// instance). Two schedules:
+//  - static: rows are sharded across clusters by a cost-balanced
+//    partition (each shard gets an equal slice of nnz-plus-row-overhead
+//    work, the same balance heuristic the sweep scheduler uses), and every
+//    cluster runs the paper's double-buffered tile scheme
+//    (cluster/csrmv_shard.hpp) over its shard, arriving at the
+//    inter-cluster barrier (system/barrier.hpp) once per column phase;
+//  - stealing (system/steal.hpp): every cluster claims tiles of one
+//    fine-grained global plan from a shared queue.
+// Both run against the shared, bandwidth-limited main memory. Each cluster
 // loads the full dense vector x into its TCDM — the row-sharded
 // distribution replicates x, trading main-memory read amplification for
-// zero inter-cluster communication during compute. Completion
-// synchronizes on the inter-cluster barrier (system/barrier.hpp), so the
-// reported cycle count includes the release latency a real system would
-// pay before the result could be consumed.
+// zero inter-cluster communication during compute. The final barrier
+// doubles as completion, so the reported cycle count includes the release
+// latency a real system would pay before the result could be consumed.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "cluster/csrmv_mc.hpp"
+#include "cluster/csrmv_shard.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 #include "system/steal.hpp"
@@ -34,19 +41,6 @@ struct SysCsrmvConfig {
   /// Only engages for num_clusters > 1: a single cluster would win
   /// every tile anyway, so it always runs the static path.
   bool steal = true;
-  /// Steal granularity: target tiles per cluster. The global plan caps
-  /// each tile's cost at total/(clusters * this); finer shards balance
-  /// the tail better but pay more claim round trips.
-  std::uint32_t steal_tiles_per_cluster = 4;
-  /// Tile staging buffers per cluster in steal mode (>= 2). Extra
-  /// buffers deepen per-worker run-ahead: a fast worker can start its
-  /// share of tile t+k while a straggler still grinds tile t, which
-  /// absorbs residual within-tile share skew on large regular matrices.
-  /// Each buffer costs TCDM (the stream budget divides by this, which
-  /// can force a finer tiling than steal_tiles_per_cluster asked for),
-  /// so the practical range is 2-4 and the default stays at classic
-  /// double buffering. The static path always uses 2.
-  std::uint32_t steal_buffers = 2;
   /// Cycle budget for the run; 0 selects System::run's default. A run
   /// that exhausts it comes back with a kCycleLimit Fault.
   cycle_t max_cycles = 0;
@@ -88,5 +82,47 @@ struct SysCsrmvResult {
 SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
                                 const sparse::DenseVector& x,
                                 const SysCsrmvConfig& cfg);
+
+/// What a tile kernel hands run_tile_system: its differences from CsrMV,
+/// as data. The defaults are CsrMV.
+struct TileKernel {
+  /// Planning view and run knobs: variant, width, cluster, max_tile_rows,
+  /// max_cycles, inject, trace_sink.
+  cluster::McCsrmvConfig mc;
+  cluster::RowShare share = cluster::RowShare::kCostBalanced;
+  std::uint32_t num_cols = 1;   ///< columns of the dense operand and y
+  std::uint32_t col_block = 1;  ///< columns per phase (power of two)
+  /// Dense operand (x, or B) storage and leading dimension, and the DMA
+  /// job shape of its blocks and of y (cluster::TileOperands).
+  const double* dense = nullptr;
+  std::size_t dense_elems = 0;
+  std::uint32_t dense_ld = 1;
+  bool two_d = false;
+  /// Stealing workers publish the done value the mailbox carries instead
+  /// of a compiled-in one, as bodies shared by several phases must. CsrMM
+  /// sets it at any phase count and CsrMV never: the idle loops differ by
+  /// two instructions, so each kernel's cycle counts depend on its choice.
+  bool done_from_mailbox = false;
+};
+
+/// The kernel-independent part of a System tile run's result.
+struct TileRun {
+  SystemResult system;
+  std::vector<std::uint32_t> shard_begin;
+  std::vector<cluster::McTilePlan> plans;
+  bool steal = false;
+  /// Steal mode only: [phase * num_tiles + tile] -> claiming cluster.
+  std::vector<unsigned> tile_owner;
+  /// Steal mode only: claim-queue counters summed over phases.
+  SysQueueStats queue;
+};
+
+/// Run one tile kernel on the System: the static partition or (steal &&
+/// clusters > 1) one LPT-ordered steal plan with shared worker images and
+/// per-phase claim queues; stage the operands, wire every cluster's
+/// controller and seam probe, run, and read y (rows x num_cols doubles)
+/// back into `y`.
+TileRun run_tile_system(const sparse::CsrMatrix& a, const SystemConfig& cfg,
+                        const TileKernel& k, bool steal, double* y);
 
 }  // namespace issr::system

@@ -1,6 +1,7 @@
 // Cluster tests: the hardware barrier, multi-worker program execution,
-// the tile planner's invariants, and end-to-end multicore CsrMV equality
-// with the golden reference across variants and forced multi-tile runs.
+// the tile planner's invariants (column phases and row shares included),
+// and end-to-end multicore CsrMV equality with the golden reference
+// across variants and forced multi-tile runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,6 +146,41 @@ TEST(TilePlan, SplitRowsByCostBalancesSkewedRows) {
   }
   // Pure function: same inputs, same boundaries.
   EXPECT_EQ(cluster::split_rows_by_cost(a, 0, a.rows(), workers), cut);
+}
+
+TEST(TilePlan, ColumnBlockSetsPhasesAndWidensBlocks) {
+  // CsrMV is the one-phase, one-column plan; a CsrMM plan of 10 columns in
+  // blocks of 4 runs phases of 4, 4 and 2 columns, and its dense block and
+  // y buffers widen by the block factor.
+  Rng rng(1003);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 200, 96, 10);
+  McCsrmvConfig cfg;
+  cfg.max_tile_rows = 64;
+  const auto mv = plan_tiles(a, cfg);
+  EXPECT_EQ(mv.num_phases(), 1u);
+  EXPECT_EQ(mv.phase_cols(0), 1u);
+  const auto mm = plan_tiles_range(a, cfg, 0, a.rows(), 0, 0, 10, 4);
+  EXPECT_EQ(mm.num_phases(), 3u);
+  EXPECT_EQ(mm.phase_cols(0), 4u);
+  EXPECT_EQ(mm.phase_cols(1), 4u);
+  EXPECT_EQ(mm.phase_cols(2), 2u);
+  EXPECT_GE(mm.flags_addr - mm.x_addr, 8ull * a.cols() * 4);
+  EXPECT_GE(mm.buf[0].vals_addr - mm.buf[0].y_addr,
+            8ull * cfg.max_tile_rows * 4);
+  EXPECT_LT(mm.tile_nnz_capacity, mv.tile_nnz_capacity);
+  // Both row-share rules cover each tile contiguously.
+  for (const auto rule : {RowShare::kCostBalanced, RowShare::kUniform}) {
+    for (const auto& tile : mm.tiles) {
+      std::uint32_t next = tile.row_begin;
+      for (unsigned w = 0; w < 8; ++w) {
+        const auto [r0, r1] = worker_rows(a, tile, rule, 8, w);
+        EXPECT_EQ(r0, next);
+        EXPECT_LE(r0, r1);
+        next = r1;
+      }
+      EXPECT_EQ(next, tile.row_end);
+    }
+  }
 }
 
 struct McCase {

@@ -496,7 +496,7 @@ TEST_P(SystemCsrmm, MatchesReferenceAllFamiliesAllClusterCounts) {
   const auto r = run_csrmm_system(a, b, cfg);
   ASSERT_FALSE(r.system.aborted);
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmm(a, b), 1e-9, 1e-9));
-  EXPECT_EQ(r.plans.front().num_phases, 3u);
+  EXPECT_EQ(r.plans.front().num_phases(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -542,7 +542,7 @@ TEST(SystemCsrmm, PhaseBarrierGenerationsMatchPlan) {
   cfg.system.num_clusters = 4;
   cfg.col_block = 4;  // 4 phases
   const auto r = run_csrmm_system(a, b, cfg);
-  EXPECT_EQ(r.plans.front().num_phases, 4u);
+  EXPECT_EQ(r.plans.front().num_phases(), 4u);
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmm(a, b), 1e-9, 1e-9));
 }
 
@@ -572,6 +572,58 @@ TEST(SystemCsrmm, FastForwardIdentity) {
   const auto ref = run_csrmm_system(a, b, cfg);
   EXPECT_EQ(ff.system.cycles, ref.system.cycles);
   EXPECT_TRUE(sparse::allclose(ff.y, ref.y, 0.0, 0.0));
+}
+
+TEST(SystemCsrmm, ZeroRowsFinishWithoutFault) {
+  // Every shard is empty: the clusters only pass the phase barriers. With
+  // a zero-latency barrier the last arrival decides its own release; an
+  // empty shard must not poll it in its arrival tick, or an earlier
+  // cluster parks on an undecided release and the run stalls.
+  const auto a = sparse::CsrMatrix::from_coo(sparse::CooMatrix(0, 32));
+  Rng rng(2205);
+  const auto b = sparse::random_dense_matrix(rng, a.cols(), 4);
+  for (const std::uint32_t cb : {1u, 4u}) {
+    for (const unsigned n : {1u, 2u, 3u}) {
+      SysCsrmmConfig cfg;
+      cfg.variant = Variant::kBase;
+      cfg.system.num_clusters = n;
+      cfg.system.barrier_hop_latency = 0;
+      cfg.steal = false;
+      cfg.col_block = cb;
+      const auto r = run_csrmm_system(a, b, cfg);
+      EXPECT_FALSE(r.system.fault) << n << " clusters, col_block " << cb;
+    }
+  }
+}
+
+// --- Wide clusters -----------------------------------------------------------
+
+// The stealing controllers track the halt epilogue per worker, so a
+// cluster may have as many workers as --cores accepts: 32 once ended in
+// the cycle budget and 33 aborted.
+TEST(SystemSteal, WideClustersFinishAndMatchReference) {
+  Rng rng(2310);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 256, 160, 8);
+  const auto x = sparse::random_dense_vector(rng, a.cols());
+  const auto b = sparse::random_dense_matrix(rng, a.cols(), 3);
+  for (const unsigned workers : {32u, 33u}) {
+    SysCsrmvConfig mv;
+    mv.system.num_clusters = 2;
+    mv.system.cluster.num_workers = workers;
+    mv.max_cycles = 200'000;
+    const auto rv = run_csrmv_system(a, x, mv);
+    ASSERT_TRUE(rv.steal);
+    EXPECT_FALSE(rv.system.fault) << workers << " workers";
+    EXPECT_TRUE(sparse::allclose(rv.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
+
+    SysCsrmmConfig mm;
+    mm.system.num_clusters = 2;
+    mm.system.cluster.num_workers = workers;
+    const auto rm = run_csrmm_system(a, b, mm);
+    ASSERT_TRUE(rm.steal);
+    EXPECT_FALSE(rm.system.fault) << workers << " workers";
+    EXPECT_TRUE(sparse::allclose(rm.y, sparse::ref_csrmm(a, b), 1e-9, 1e-9));
+  }
 }
 
 // --- Shared worker images ----------------------------------------------------
