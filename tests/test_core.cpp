@@ -459,6 +459,40 @@ TEST(FrepEdge, BackToBackFrepsReplayInOrder) {
       });
 }
 
+TEST(FrepEdge, IntegerOpInterleavedWithBody) {
+  // Integer instructions execute on the core and never reach the FPU
+  // subsystem, so an addi between the FREP head's two FP instructions is
+  // not part of the captured body: the loop repeats the two fadds, and
+  // the addi runs once.
+  addr_t out = 0;
+  run_both_tiers_pinned(
+      [&](CcSim& sim, Assembler& a) {
+        out = sim.alloc(16);
+        a.li(kT0, 1);
+        a.fcvt_d_w(kFa1, kT0);  // fa1 = 1.0
+        a.fzero(kFa0);
+        a.fzero(kFa2);
+        a.li(kT2, 0);
+        a.li(kT1, 2);  // three iterations
+        a.frep(kT1, 2);
+        a.fadd_d(kFa0, kFa0, kFa1);
+        a.addi(kT2, kT2, 1);
+        a.fadd_d(kFa2, kFa2, kFa0);  // fa2 = 1 + 2 + 3
+        a.li(kS2, static_cast<std::int64_t>(out));
+        kernels::emit_fpss_sync(a);
+        a.fsd(kFa0, kS2, 0);
+        a.fsd(kFa2, kS2, 8);
+        kernels::emit_fpss_sync(a);
+        kernels::emit_halt(a);
+      },
+      /*pinned_cycles=*/30u,
+      [&](CcSim& sim) {
+        EXPECT_EQ(sim.read_f64(out), 3.0);
+        EXPECT_EQ(sim.read_f64(out + 8), 6.0);
+        EXPECT_EQ(sim.cc().core().xreg(kT2), 1u);
+      });
+}
+
 TEST(Streamer, CsrConfigurationArmsJobs) {
   CcSim sim;
   const addr_t data = sim.alloc(64);

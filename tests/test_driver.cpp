@@ -482,6 +482,59 @@ TEST(Report, TableHasOneRowPerResult) {
   EXPECT_EQ(t.cols(), 9u);
 }
 
+// --- Paper-shape cycle pins ----------------------------------------------------
+//
+// Exact simulated cycles of the Fig. 4a/4b single-CC shapes and the
+// Fig. 4c 8-worker cluster shape, on fixed seeds. A change here is a
+// modelling change: re-pin only on purpose, and say so in CHANGES.md.
+
+TEST(PaperShapeGolden, Fig4aSpvv) {
+  Rng rng(1);
+  const auto a = sparse::random_sparse_vector(rng, 32768, 16384);
+  const auto b = sparse::random_dense_vector(rng, 32768);
+  const auto u16 = run_spvv_cc(kernels::Variant::kIssr,
+                               sparse::IndexWidth::kU16, a, b);
+  const auto u32 = run_spvv_cc(kernels::Variant::kIssr,
+                               sparse::IndexWidth::kU32, a, b);
+  EXPECT_TRUE(u16.ok);
+  EXPECT_TRUE(u32.ok);
+  EXPECT_EQ(u16.sim.cycles, 20519u);
+  EXPECT_EQ(u32.sim.cycles, 24618u);
+}
+
+TEST(PaperShapeGolden, Fig4bCsrmv) {
+  Rng rng(2);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 384, 512, 26);
+  const auto x = sparse::random_dense_vector(rng, 512);
+  const struct {
+    kernels::Variant variant;
+    sparse::IndexWidth width;
+    cycle_t cycles;
+  } points[] = {
+      {kernels::Variant::kBase, sparse::IndexWidth::kU32, 94479},
+      {kernels::Variant::kSsr, sparse::IndexWidth::kU32, 74524},
+      {kernels::Variant::kIssr, sparse::IndexWidth::kU16, 15794},
+      {kernels::Variant::kIssr, sparse::IndexWidth::kU32, 17713},
+  };
+  for (const auto& p : points) {
+    const auto r = run_csrmv_cc(p.variant, p.width, a, x);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.sim.cycles, p.cycles)
+        << kernels::to_string(p.variant)
+        << (p.width == sparse::IndexWidth::kU16 ? " u16" : " u32");
+  }
+}
+
+TEST(PaperShapeGolden, Fig4cClusterCsrmv) {
+  Rng rng(3);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 512, 1024, 51);
+  const auto x = sparse::random_dense_vector(rng, 1024);
+  const auto r = run_csrmv_mc(kernels::Variant::kIssr,
+                              sparse::IndexWidth::kU16, 8, a, x);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.mc.cluster.cycles * 8, 62968u);  // core-cycles
+}
+
 // --- Composable run helpers (driver/runs.hpp) --------------------------------
 
 TEST(Runs, SpvvHelperValidates) {

@@ -8,6 +8,7 @@
 // plan at all.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -314,6 +315,22 @@ void expect_faults_equal(const sim::Fault& compiled, const sim::Fault& interp,
   EXPECT_EQ(compiled.describe(), interp.describe()) << what;
 }
 
+/// The fault fields a run's failure is pinned by: code, detection cycle,
+/// last engine horizon, per-hart pc/halted, and the stall buckets.
+std::string fault_record(const sim::Fault& f) {
+  std::string s = std::string(sim::to_string(f.code)) +
+                  " cycle=" + std::to_string(f.cycle) +
+                  " next=" + std::to_string(f.last_next_event) + " harts=";
+  for (const auto& h : f.harts) {
+    char pc[24];
+    std::snprintf(pc, sizeof pc, "%llx", static_cast<unsigned long long>(h.pc));
+    s += std::string(pc) + (h.halted ? "h," : ",");
+  }
+  s += " stalls=";
+  for (const std::uint64_t c : f.stalls.counts) s += std::to_string(c) + ",";
+  return s;
+}
+
 /// A single-CC run that wedges with an empty event horizon: the FREP
 /// consumes one more stream element than the affine job supplies, so the
 /// FPU subsystem waits forever on a lane that can never produce.
@@ -349,6 +366,9 @@ TEST(CompiledParity, WatchdogNoProgressDetectsAtIdenticalCycle) {
   EXPECT_LT(interp.fault.cycle, 1'000'000u) << "detection must be exact";
   EXPECT_EQ(compiled.cycles, interp.cycles);
   expect_faults_equal(compiled.fault, interp.fault, "starved stream");
+  EXPECT_EQ(fault_record(interp.fault),
+            "watchdog_no_progress cycle=15 next=18446744073709551615 "
+            "harts=40000038, stalls=1,13,0,0,0,0,1,0,0,");
 }
 
 TEST(CompiledParity, CycleLimitFaultsAtIdenticalCycle) {
@@ -374,6 +394,9 @@ TEST(CompiledParity, CycleLimitFaultsAtIdenticalCycle) {
   EXPECT_EQ(interp.fault.cycle, 100u);
   EXPECT_EQ(compiled.cycles, interp.cycles);
   expect_faults_equal(compiled.fault, interp.fault, "cycle limit");
+  EXPECT_EQ(fault_record(interp.fault),
+            "cycle_limit cycle=100 next=100 harts=40000000, "
+            "stalls=0,100,0,0,0,0,0,0,0,");
 }
 
 TEST(CompiledParity, ClusterBarrierDropDeadlocksAtIdenticalCycle) {
@@ -403,6 +426,10 @@ TEST(CompiledParity, ClusterBarrierDropDeadlocksAtIdenticalCycle) {
   EXPECT_EQ(interp.fault.code, FaultCode::kBarrierDeadlock);
   EXPECT_EQ(compiled.cycles, interp.cycles);
   expect_faults_equal(compiled.fault, interp.fault, "barrier drop");
+  EXPECT_EQ(fault_record(interp.fault),
+            "barrier_deadlock cycle=1 next=18446744073709551615 "
+            "harts=40000000,40000000,40000000,40000000,40000000,40000000,"
+            "40000000,40000000, stalls=0,0,8,0,0,0,0,0,0,");
 }
 
 TEST(CompiledParity, EveryInjectKindMatchesInterpreterByteForByte) {
@@ -413,11 +440,17 @@ TEST(CompiledParity, EveryInjectKindMatchesInterpreterByteForByte) {
     const char* kind;
     unsigned cores, clusters;
     cycle_t max_cycles;
+    const char* pinned;  ///< status, fault code and cycle, core-cycles
   };
   const Case cases[] = {
-      {"corrupt", 1, 1, 0},           {"barrier-drop", 2, 2, 400'000},
-      {"dma-stall", 4, 1, 20'000},    {"throw", 1, 1, 0},
-      {"flaky", 1, 1, 0},             {"fault", 1, 1, 0},
+      {"corrupt", 1, 1, 0, "fault invalid_input cycle=0 core_cycles=0"},
+      {"barrier-drop", 2, 2, 400'000,
+       "fault barrier_deadlock cycle=501 core_cycles=2004"},
+      {"dma-stall", 4, 1, 20'000,
+       "fault cycle_limit cycle=20000 core_cycles=80000"},
+      {"throw", 1, 1, 0, "fault host_exception cycle=0 core_cycles=0"},
+      {"flaky", 1, 1, 0, "fault host_exception cycle=0 core_cycles=0"},
+      {"fault", 1, 1, 0, "fault injected cycle=0 core_cycles=0"},
   };
   for (const auto& c : cases) {
     const FaultPlan p = plan(c.kind);
@@ -445,6 +478,13 @@ TEST(CompiledParity, EveryInjectKindMatchesInterpreterByteForByte) {
               driver::results_to_json(interp))
         << "inject kind " << c.kind;
     EXPECT_EQ(driver::results_to_csv(compiled), driver::results_to_csv(interp))
+        << "inject kind " << c.kind;
+    const ScenarioResult& r = interp[0];
+    EXPECT_EQ(std::string(driver::row_status(r)) + " " +
+                  sim::to_string(r.fault.code) +
+                  " cycle=" + std::to_string(r.fault.cycle) +
+                  " core_cycles=" + std::to_string(r.core_cycles),
+              c.pinned)
         << "inject kind " << c.kind;
   }
 }
