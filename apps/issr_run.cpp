@@ -111,12 +111,6 @@ Execution and output:
   --no-fast-forward  tick every cycle instead of skipping provably idle
                      stretches (results are identical either way; use to
                      bisect a suspected engine discrepancy)
-  --no-compiled      run the pure interpreter instead of the compiled
-                     execution tier (pre-decoded dispatch, compiled FREP
-                     replay, fused single-CC cycles); results are
-                     bytewise identical either way — use to bisect a
-                     suspected tier discrepancy (--compiled restores
-                     the default)
   --list-scenarios   print the expanded scenario matrix (name, shape,
                      seed, derived cost estimate) without simulating
                      (aliases: --list, --dry-run)

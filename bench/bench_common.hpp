@@ -37,7 +37,7 @@ inline bool full_run() {
 }
 
 /// Tree identity stamped into the throughput-trajectory JSON documents
-/// (BENCH_simspeed.json / BENCH_sweepspeed.json). One implementation
+/// (BENCH_sweepspeed.json, BENCH_syssimspeed.json). One implementation
 /// with the results-JSON provenance header (common/version.hpp):
 /// ISSR_GIT_DESCRIBE overrides, then `git describe`, then "unknown".
 inline std::string git_describe() { return issr::engine_version(); }

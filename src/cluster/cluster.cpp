@@ -37,23 +37,19 @@ Cluster::Cluster(
     cc.core.hartid = w;
     assert(!cc.streamer.issr_lane.dedicated_idx_port &&
            "cluster model provides two TCDM ports per CC");
+    // A translation is immutable, so every worker running the same
+    // program object shares one. (The fused executor stays off here: it
+    // needs the ideal two-port memory, and TCDM responses interleave with
+    // other workers' traffic.)
+    auto& cp = cache[programs_[w].get()];
+    if (!cp) {
+      cp = std::make_shared<const core::CompiledProgram>(*programs_[w]);
+    }
+    compiled_.push_back(cp);
     workers_.push_back(std::make_unique<core::CoreComplex>(
-        cc, *programs_[w], tcdm_->port(2 * w), tcdm_->port(2 * w + 1)));
+        cc, *cp, tcdm_->port(2 * w), tcdm_->port(2 * w + 1)));
     workers_.back()->core().set_barrier_hook(
         [this](std::uint32_t hart) { return barrier_.poll(hart); });
-    if (config_.compiled) {
-      // Compiled dispatch + FREP replay only; the fused steady-state tick
-      // needs the ideal two-port memory (TCDM responses interleave with
-      // other workers' traffic). A translation is immutable, so every
-      // worker running the same program object shares one.
-      auto& cp = cache[programs_[w].get()];
-      if (!cp) {
-        cp = std::make_shared<const core::CompiledProgram>(*programs_[w]);
-      }
-      compiled_.push_back(cp);
-      workers_.back()->core().set_compiled(compiled_.back().get());
-      workers_.back()->fpss().set_compiled(compiled_.back().get());
-    }
   }
 }
 

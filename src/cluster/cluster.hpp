@@ -37,12 +37,6 @@ struct ClusterConfig {
   /// core/engine.hpp). Never engages while the DMA or a not-yet-done
   /// controller is active. Defaults from the process-wide engine option.
   bool fast_forward = core::engine_fast_forward_default();
-  /// Compiled-execution tier (core/compile.hpp): pre-decoded core
-  /// dispatch and precompiled FREP replay per worker. The fused
-  /// steady-state tick stays off under the TCDM (bank conflicts need the
-  /// full arbitration path); exact either way. Defaults from the
-  /// process-wide engine option.
-  bool compiled = core::engine_compiled_default();
   /// When non-null, the TCDM and main-memory backing pages come from
   /// this arena instead of the heap (observational only; see
   /// common/arena.hpp). Must outlive the cluster, no reset while alive.
@@ -130,8 +124,8 @@ class Cluster {
                          std::shared_ptr<const core::CompiledProgram>>;
 
   /// `worker_programs` holds one program per worker. Workers handed the
-  /// same program object share it and, with the compiled tier on, one
-  /// translation of it, looked up in (and added to) `compiled_cache` when
+  /// same program object share it and one translation of it
+  /// (core/compile.hpp), looked up in (and added to) `compiled_cache` when
   /// one is given.
   Cluster(const ClusterConfig& config,
           std::vector<std::shared_ptr<const isa::Program>> worker_programs,
@@ -141,11 +135,10 @@ class Cluster {
     return static_cast<unsigned>(workers_.size());
   }
   core::CoreComplex& worker(unsigned i) { return *workers_.at(i); }
-  /// Worker `i`'s program and its compiled translation (null when the
-  /// compiled tier is off).
+  /// Worker `i`'s program and its translation.
   const isa::Program& program(unsigned i) const { return *programs_.at(i); }
   const core::CompiledProgram* compiled(unsigned i) const {
-    return compiled_.empty() ? nullptr : compiled_.at(i).get();
+    return compiled_.at(i).get();
   }
 
   mem::Tcdm& tcdm() { return *tcdm_; }
@@ -256,8 +249,7 @@ class Cluster {
  private:
   ClusterConfig config_;
   std::vector<std::shared_ptr<const isa::Program>> programs_;
-  /// Per worker, the shared translation of its program object (empty when
-  /// the compiled tier is off).
+  /// Per worker, the shared translation of its program object.
   std::vector<std::shared_ptr<const core::CompiledProgram>> compiled_;
   std::unique_ptr<mem::Tcdm> tcdm_;
   mem::MainMemory own_main_;

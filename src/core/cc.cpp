@@ -4,7 +4,8 @@
 
 namespace issr::core {
 
-CoreComplex::CoreComplex(const CcParams& params, const isa::Program& program,
+CoreComplex::CoreComplex(const CcParams& params,
+                         const CompiledProgram& program,
                          mem::MemPort& shared_port, mem::MemPort& issr_port,
                          mem::MemPort* issr_idx_port)
     : shared_hub_(shared_port), issr_hub_(issr_port) {
@@ -24,7 +25,8 @@ CoreComplex::CoreComplex(const CcParams& params, const isa::Program& program,
 
   streamer_ = std::make_unique<ssr::Streamer>(params.streamer, ssr_client,
                                               issr_client, issr_idx_client);
-  fpss_ = std::make_unique<Fpss>(params.fpss, *streamer_, fp_lsu_client);
+  fpss_ = std::make_unique<Fpss>(params.fpss, *streamer_, fp_lsu_client,
+                                 &program);
   core_ = std::make_unique<SnitchCore>(params.core, program, *fpss_,
                                        *streamer_, core_lsu_client);
   ssr_lane_ = &streamer_->lane(ssr::Streamer::kSsrLane);

@@ -26,11 +26,14 @@ struct CcParams {
   ssr::StreamerParams streamer;
 };
 
+class CompiledProgram;
+
 class CoreComplex {
  public:
-  /// `issr_idx_port` must be non-null iff the streamer params request a
-  /// dedicated index port.
-  CoreComplex(const CcParams& params, const isa::Program& program,
+  /// `program` is the translation of the program the core runs
+  /// (core/compile.hpp); it must outlive the CC. `issr_idx_port` must be
+  /// non-null iff the streamer params request a dedicated index port.
+  CoreComplex(const CcParams& params, const CompiledProgram& program,
               mem::MemPort& shared_port, mem::MemPort& issr_port,
               mem::MemPort* issr_idx_port = nullptr);
 
@@ -50,18 +53,18 @@ class CoreComplex {
 
   void tick(cycle_t now);
 
-  /// The hub phase of tick(), exposed for the compiled tier: fused cycles
-  /// run it too (right after the memory tick), so core/FP-LSU load
-  /// responses and seam-materialized lane requests route at the
-  /// interpreter's exact cycle.
+  /// The hub phase of tick(), exposed for the fused executor: fused
+  /// cycles run it too (right after the memory tick), so core/FP-LSU load
+  /// responses and seam-materialized lane requests route at the exact
+  /// per-cycle point.
   void tick_hubs() {
     shared_hub_.tick();
     issr_hub_.tick();
     if (issr_idx_hub_) issr_idx_hub_->tick();
   }
 
-  /// Routed-but-unpopped responses on any hub (compiled-tier parked-span
-  /// entry check; mirrors the next_event() hub term).
+  /// Routed-but-unpopped responses on any hub (fused parked-span entry
+  /// check; mirrors the next_event() hub term).
   bool hubs_queued() const {
     return shared_hub_.has_queued() || issr_hub_.has_queued() ||
            (issr_idx_hub_ && issr_idx_hub_->has_queued());
@@ -113,12 +116,12 @@ class CoreComplex {
   /// deltas, so the post-skip snapshot is exactly the live state).
   void resync_account() { snap_ = sample(); }
 
-  // --- Compiled-tier hook --------------------------------------------------
+  // --- Fused-executor hook -------------------------------------------------
   /// Credit one fused cycle's stall bucket. The fused executor classifies
   /// from its own pre/post counter deltas (a strict subset of the
   /// observations account() folds — the others are statically impossible
   /// in the fused steady state) and leaves snap_ stale; it must call
-  /// resync_account() before the next interpreted tick. Fused cycles
+  /// resync_account() before the next unfused tick. Fused cycles
   /// require no attached trace sink, so no stall slice bookkeeping.
   void credit_fused_cycle(trace::Bucket b) { ++stalls_[b]; }
 

@@ -17,9 +17,8 @@ using isa::Op;
 
 namespace {
 
-// Operand-usage predicates, mirroring the checks SnitchCore::issue
-// performs inline (the fuzzer in tests/test_compiled_diff.cpp pins the
-// equivalence instruction class by instruction class).
+// Operand-usage predicates: which source registers issue reads and
+// hazard-checks.
 bool op_uses_rs1(Op op) {
   return !(op == Op::kLui || op == Op::kAuipc || op == Op::kJal ||
            op == Op::kEcall || op == Op::kEbreak || op == Op::kFence ||
@@ -135,164 +134,29 @@ DecodedInst decode_one(const Inst& inst) {
       d.cls = ExecClass::kFence;
       break;
     default:
-      d.cls = ExecClass::kFallback;  // kInvalid: interpreter asserts
+      d.cls = ExecClass::kInvalid;
       break;
   }
   return d;
-}
-
-/// Apply FREP register staggering for one iteration offset (mirrors
-/// Fpss::staggered with offset = iter % (stagger_max + 1)).
-Inst stagger_apply(const Inst& inst, unsigned offset, std::uint8_t mask) {
-  if (offset == 0) return inst;
-  Inst out = inst;
-  if (mask & 0x1) out.rd = (out.rd + offset) & 31;
-  if (mask & 0x2) out.rs1 = (out.rs1 + offset) & 31;
-  if (mask & 0x4) out.rs2 = (out.rs2 + offset) & 31;
-  if (mask & 0x8) out.rs3 = (out.rs3 + offset) & 31;
-  return out;
-}
-
-FpssMicroOp lower_mop(const Inst& s) {
-  FpssMicroOp m;
-  m.inst = s;
-  m.n_src = static_cast<std::uint8_t>(Fpss::fp_src_regs(s, m.srcs));
-  const Op op = s.op;
-  if (isa::op_writes_fp_rd(op)) m.mflags |= kMWritesFp;
-  // The "native" class is exactly the FP->FP datapath default branch of
-  // Fpss::try_issue: writes an FP rd, is not a load, consumes no integer
-  // operand. Everything else replays through try_issue itself.
-  if (isa::op_writes_fp_rd(op) && op != Op::kFld && !isa::op_int_to_fp(op)) {
-    m.mflags |= kMNativeFp;
-  }
-  if (isa::op_is_fp_compute(op)) m.mflags |= kMFpCompute;
-  switch (op) {
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-      m.mflags |= kMFmadd;
-      break;
-    case Op::kFmulD:
-      m.mflags |= kMFmul;
-      break;
-    default:
-      break;
-  }
-  if (fpu_is_iterative(op)) m.mflags |= kMIterative;
-  m.flops = static_cast<std::uint8_t>(isa::op_flops(op));
-  return m;
-}
-
-CompiledFrep lower_frep(const std::vector<Inst>& insts, std::size_t head) {
-  const Inst& inst = insts[head];
-  CompiledFrep cf;
-  cf.head_index = static_cast<std::uint32_t>(head);
-  cf.n_insts = inst.frep_insts;
-  const bool stagger =
-      inst.frep_stagger_mask != 0 && inst.frep_stagger_max != 0;
-  cf.period = stagger ? inst.frep_stagger_max + 1u : 1u;
-
-  const std::size_t end = head + 1 + cf.n_insts;
-  cf.valid = cf.n_insts > 0 && end <= insts.size();
-  if (cf.valid) {
-    for (std::size_t i = head + 1; i < end; ++i) {
-      const Inst& b = insts[i];
-      cf.body.push_back(b);
-      // Bodies the sequencer cannot replay from precompiled micro-ops:
-      // another FREP (nested, asserts), fld/fsd (asserts), or integer
-      // instructions (those execute on the core and never reach the FPSS
-      // capture buffer, so the static body cannot match the captured one).
-      if (!isa::op_is_fpss(b.op) || b.op == Op::kFrep || b.op == Op::kFld ||
-          b.op == Op::kFsd) {
-        cf.valid = false;
-      }
-    }
-  }
-  if (cf.valid) {
-    cf.mops.reserve(static_cast<std::size_t>(cf.period) * cf.n_insts);
-    for (unsigned offset = 0; offset < cf.period; ++offset) {
-      for (unsigned pos = 0; pos < cf.n_insts; ++pos) {
-        cf.mops.push_back(lower_mop(
-            stagger_apply(cf.body[pos], offset, inst.frep_stagger_mask)));
-      }
-    }
-  }
-  return cf;
 }
 
 }  // namespace
 
 CompiledProgram::CompiledProgram(const isa::Program& program) {
   const std::vector<Inst>& insts = program.insts();
-  const std::size_t n = insts.size();
-  decoded_.reserve(n);
-  imops_.reserve(n);
-  frep_index_.assign(n, -1);
-
-  // Pass 1: pre-decode, lower FREP bodies, and collect block leaders.
-  std::vector<bool> leader(n + 1, false);
-  std::vector<bool> in_frep_body(n, false);
-  if (n > 0) leader[0] = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Inst& inst = insts[i];
+  decoded_.reserve(insts.size());
+  mops_.reserve(insts.size());
+  for (const Inst& inst : insts) {
     decoded_.push_back(decode_one(inst));
-    // Straight-line micro-op for the FPSS sequencer (offload-queue
-    // dispatch outside FREP replay); lower_mop leaves kMNativeFp clear
-    // for anything that must keep the interpreted try_issue.
-    imops_.push_back(decoded_.back().cls == ExecClass::kFpss
-                         ? lower_mop(inst)
-                         : FpssMicroOp{});
-    switch (inst.op) {
-      case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-      case Op::kBltu: case Op::kBgeu: case Op::kJal: {
-        // pc-relative target; mark it a leader when it lands in-program.
-        const std::int64_t target =
-            static_cast<std::int64_t>(i) +
-            static_cast<std::int64_t>(inst.imm) / 4;
-        if (target >= 0 && target < static_cast<std::int64_t>(n)) {
-          leader[static_cast<std::size_t>(target)] = true;
-        }
-        leader[i + 1] = true;
-        break;
-      }
-      case Op::kJalr: case Op::kEcall: case Op::kEbreak:
-        leader[i + 1] = true;
-        break;
-      case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
-      case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
-        // Every CSR access is a potential interpreter seam (streamer
-        // config retry, blocking sync/barrier): end the block after it.
-        leader[i + 1] = true;
-        break;
-      case Op::kFrep: {
-        frep_index_[i] = static_cast<std::int32_t>(freps_.size());
-        freps_.push_back(lower_frep(insts, i));
-        const std::size_t body_end = std::min(i + 1 + inst.frep_insts, n);
-        leader[i + 1] = true;
-        leader[std::min(body_end, n)] = true;
-        for (std::size_t b = i + 1; b < body_end; ++b) in_frep_body[b] = true;
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  // Pass 2: materialize the block list.
-  std::size_t start = 0;
-  while (start < n) {
-    std::size_t end = start + 1;
-    while (end < n && !leader[end]) ++end;
-    CompiledBlock blk;
-    blk.first = static_cast<std::uint32_t>(start);
-    blk.count = static_cast<std::uint32_t>(end - start);
-    blk.kind = in_frep_body[start] ? CompiledBlock::Kind::kFrepBody
-                                   : CompiledBlock::Kind::kStraight;
-    blocks_.push_back(blk);
-    start = end;
+    mops_.push_back(decoded_.back().cls == ExecClass::kFpss &&
+                            inst.op != Op::kFrep
+                        ? lower_fpss_op(inst)
+                        : FpssMicroOp{});
   }
 }
 
-std::uint64_t compiled_alu_eval(Op op, std::uint64_t a, std::uint64_t b,
-                                std::int64_t imm, addr_t pc) {
+std::uint64_t alu_eval(Op op, std::uint64_t a, std::uint64_t b,
+                       std::int64_t imm, addr_t pc) {
   switch (op) {
     case Op::kLui: return static_cast<std::uint64_t>(imm);
     case Op::kAuipc: return pc + static_cast<std::uint64_t>(imm);
@@ -338,12 +202,12 @@ std::uint64_t compiled_alu_eval(Op op, std::uint64_t a, std::uint64_t b,
                                                  static_cast<std::int64_t>(b));
     case Op::kRemu: return b == 0 ? a : a % b;
     default:
-      assert(false && "non-ALU opcode in compiled_alu_eval");
+      assert(false && "non-ALU opcode in alu_eval");
       return 0;
   }
 }
 
-bool compiled_branch_taken(Op op, std::uint64_t a, std::uint64_t b) {
+bool branch_taken(Op op, std::uint64_t a, std::uint64_t b) {
   switch (op) {
     case Op::kBeq: return a == b;
     case Op::kBne: return a != b;
@@ -354,7 +218,7 @@ bool compiled_branch_taken(Op op, std::uint64_t a, std::uint64_t b) {
     case Op::kBltu: return a < b;
     case Op::kBgeu: return a >= b;
     default:
-      assert(false && "non-branch opcode in compiled_branch_taken");
+      assert(false && "non-branch opcode in branch_taken");
       return false;
   }
 }
@@ -363,14 +227,14 @@ bool compiled_branch_taken(Op op, std::uint64_t a, std::uint64_t b) {
 // CompiledExec
 //
 // Exactness argument for the fused cycle, phase by phase against the
-// interpreted order (IdealMemory::tick; then CoreComplex::tick = hub
+// per-cycle order (IdealMemory::tick; then CoreComplex::tick = hub
 // ticks, streamer.begin_cycle, core.tick, fpss.tick, streamer.tick,
 // account):
-//  - memory/hubs: both run for real, at the interpreted point in the
+//  - memory/hubs: both run for real, at the per-cycle point in the
 //    cycle, so every response that matures on a port — core/FP loads,
 //    and lane requests materialized at a seam — is routed to its
 //    client's queue in the identical cycle and popped by the unit's
-//    real tick exactly as interpreted. Lane bypass traffic never
+//    real tick exactly as in a per-cycle run. Lane bypass traffic never
 //    touches the ports, so the hubs cannot observe it.
 //  - core/fpss: the real tick() runs, so their transitions are identical
 //    by construction — including integer/FP load issue and response
@@ -378,7 +242,7 @@ bool compiled_branch_taken(Op op, std::uint64_t a, std::uint64_t b) {
 //    retry stall. Only the barrier CSR is excluded (its callback and
 //    stall_barrier accounting are cluster-scope seams). The specialized
 //    tick_parked_sync replaces the core tick only in the sync-CSR +
-//    FREP-replay steady state, where the interpreted tick is exactly
+//    FREP-replay steady state, where the real tick is exactly
 //    {++cycles, advanced_ = false, self_wake_ = kCycleNever,
 //    ++stall_sync} (fpss_.idle() is false while a FREP is active).
 //    Requests these units issue (core/FP loads and stores) go through
@@ -386,13 +250,13 @@ bool compiled_branch_taken(Op op, std::uint64_t a, std::uint64_t b) {
 //  - lanes: the lane's own traffic skips the port protocol through a
 //    one-slot bypass (ssr/lane.cpp). Issue keeps the real-port mux gate,
 //    so contention with a core/FP store on the shared port defers the
-//    lane exactly as interpreted; the store-gated and bypass-filled
+//    lane exactly as a per-cycle tick does; the store-gated and bypass-filled
 //    cases cannot overlap, so the single MemPort slot semantics are
 //    preserved. Delivery happens at the next fused tick, right after the
 //    memory tick that would have served the request — the same
 //    BackingStore access order (port 0 before port 1, prior-cycle stores
 //    before this cycle's reads) and, at latency <= 1 (the enable gate),
-//    the same response cycle. At a fused-to-interpreted seam or run end,
+//    the same response cycle. At a fused-to-unfused seam or run end,
 //    an undelivered request is materialized onto the real port, where
 //    the next memory tick serves it and the hub routes it — identical
 //    timing again. A bypass slot can only be full if the lane advanced,
@@ -403,17 +267,16 @@ bool compiled_branch_taken(Op op, std::uint64_t a, std::uint64_t b) {
 //    (single-CC), the full CycleObservation is reconstructed from the
 //    same counter deltas account() would diff, and classified by the
 //    same trace::classify. The accountant's snapshot is left stale
-//    across fused stretches and re-primed before the next interpreted
+//    across fused stretches and re-primed before the next unfused
 //    tick (resync_account), which is exact because fused cycles classify
 //    from their own deltas.
-// tests/test_compiled_diff.cpp fuzzes the equivalence end to end.
+// tests/test_compiled_diff.cpp fuzzes fused runs against unfused (traced)
+// runs end to end.
 // ---------------------------------------------------------------------------
 
-CompiledExec::CompiledExec(CoreComplex& cc, mem::IdealMemory& mem,
-                           const CompiledProgram& cp)
+CompiledExec::CompiledExec(CoreComplex& cc, mem::IdealMemory& mem)
     : cc_(cc),
       mem_(mem),
-      cp_(cp),
       core_(cc.core()),
       fpss_(cc.fpss()),
       ssr_lane_(cc.streamer().lane(ssr::Streamer::kSsrLane)),
@@ -444,7 +307,7 @@ cycle_t CompiledExec::fused_span(cycle_t now, cycle_t limit) {
 
   cycle_t n = now;
   while (n < limit) {
-    const FusedGate g = core_.fused_gate(cp_, n);
+    const FusedGate g = core_.fused_gate(n);
     if (g == FusedGate::kSeam) break;
     // Quiet = both ports fully drained (no pending request, nothing in
     // flight or matured) and no routed-but-unpopped hub responses. The
@@ -473,7 +336,7 @@ cycle_t CompiledExec::fused_span(cycle_t now, cycle_t limit) {
       const cycle_t p0 = n;
       bool progressed;
       do {
-        // begin_cycle before the FPSS tick, as interpreted: a replayed
+        // begin_cycle before the FPSS tick, as per cycle: a replayed
         // op's register-file pop can complete a job and start its shadow
         // successor, which stamps lane trace events with now_.
         ssr_lane_.begin_cycle(n);
@@ -515,7 +378,7 @@ cycle_t CompiledExec::fused_span(cycle_t now, cycle_t limit) {
       continue;  // left the parked state (or hit the budget)
     }
 
-    // Generic fused cycle — exactly the interpreter's cycle order.
+    // Generic fused cycle — exactly the per-cycle tick order.
     std::uint64_t ci0 = 0;
     std::uint64_t sy0 = 0;
     if (!parked) {
@@ -579,7 +442,7 @@ cycle_t CompiledExec::fused_span(cycle_t now, cycle_t limit) {
   return n;
 }
 
-void CompiledExec::before_interpreted_tick() {
+void CompiledExec::before_unfused_tick() {
   fused_advanced_ = false;
   ssr_lane_.materialize_bypass();
   issr_lane_.materialize_bypass();

@@ -1,29 +1,30 @@
-// Compiled-simulation tier: a one-time translation pass over an assembled
-// isa::Program that precomputes everything the interpreter re-derives
-// each cycle — instruction classification, operand-usage flags, folded
-// load/store access metadata, FREP loop bodies with register staggering
-// resolved per iteration offset, and straight-line block boundaries.
+// Core translation and the fused cycle executor. CompiledProgram is a
+// one-time translation pass over an assembled isa::Program that fixes
+// everything issue would otherwise derive each cycle: instruction
+// classification, operand-usage flags, folded load/store access metadata,
+// and each FP instruction's FPU-subsystem micro-op.
 //
-// The product is a CompiledProgram: immutable, shareable across
-// simulators (the driver's asset cache stores one per program, keyed by
-// program identity + engine provenance), and consumed at three seams:
-//  - SnitchCore dispatches through pre-decoded DecodedInst records
-//    instead of re-classifying each fetched instruction;
-//  - Fpss replays FREP bodies from precompiled micro-ops (stagger
-//    arithmetic and source-register gathering done once, not per issue);
-//  - CompiledExec fuses whole core-complex cycles whenever the core is
-//    not at an interpreter seam (barrier CSR, halt, cold opcode): the
-//    memory and hub phases run exactly as interpreted (so integer/FP
-//    loads and all streamer-config CSR traffic fuse too), the stream
-//    lanes bypass the port protocol for their own traffic, and the
-//    engine bursts through fused cycles without per-cycle horizon scans.
+// The translation is immutable and shareable across simulators (the
+// driver's asset cache stores one per program, keyed by program identity +
+// engine provenance). Two units consume it:
+//  - SnitchCore dispatches every instruction through its DecodedInst
+//    record — the only way a core executes;
+//  - Fpss issues each offloaded instruction from its pre-lowered
+//    micro-op (FREP replay issues from rows the Fpss lowers itself from
+//    the captured body).
 //
-// Determinism bar: every compiled fast path reproduces the interpreter's
-// per-cycle state transitions exactly — same cycles, stats, stall
-// buckets, traces, faults — and falls back to the interpreter whenever a
-// precondition does not hold (branches into FREP bodies, barrier CSR
-// accesses, cold opcodes, halt, attached trace sinks).
-// tests/test_compiled_diff.cpp fuzzes the equivalence.
+// CompiledExec fuses whole core-complex cycles whenever the core is not
+// at a seam (barrier CSR, halt): the memory and hub phases run exactly as
+// in a per-cycle tick (so integer/FP loads and all streamer-config CSR
+// traffic fuse too), the stream lanes bypass the port protocol for their
+// own traffic, and the engine bursts through fused cycles without
+// per-cycle horizon scans.
+//
+// Determinism bar: a fused cycle reproduces the per-cycle tick's state
+// transitions exactly — same cycles, stats, stall buckets, traces,
+// faults. tests/test_compiled_diff.cpp fuzzes fused runs against runs
+// with a trace sink attached (which tick every cycle unfused) and against
+// per-seed fingerprints.
 #pragma once
 
 #include <cassert>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/fpss.hpp"
 #include "isa/inst.hpp"
 #include "isa/program.hpp"
 #include "trace/stall.hpp"
@@ -50,7 +52,6 @@ namespace issr::core {
 
 class CoreComplex;
 class SnitchCore;
-class Fpss;
 
 /// Integer-load extension kinds, precomputed from the opcode (also packed
 /// into core LSU request tags next to rd).
@@ -58,10 +59,8 @@ enum class LoadExt : std::uint8_t {
   kS8 = 0, kU8, kS16, kU16, kS32, kU32, k64,
 };
 
-/// Dispatch class of a pre-decoded instruction. Classes other than
-/// kFallback execute natively in SnitchCore::issue_compiled; kFallback
-/// routes through the interpreter's issue() (cold opcodes keep a single
-/// source of truth).
+/// Dispatch class of a pre-decoded instruction
+/// (SnitchCore::issue).
 enum class ExecClass : std::uint8_t {
   kFpss,    ///< offloaded to the FPU subsystem (incl. FREP setup)
   kAlu,     ///< integer ALU/mul/div/lui/auipc: write_rd(eval), pc += 4
@@ -70,10 +69,10 @@ enum class ExecClass : std::uint8_t {
   kJalr,
   kLoad,
   kStore,
-  kCsr,     ///< Zicsr: hazard-checked, then the interpreter's exec_csr
+  kCsr,     ///< Zicsr: hazard-checked, then exec_csr
   kHalt,    ///< ecall / ebreak
   kFence,
-  kFallback,  ///< anything else: interpreter issue()
+  kInvalid,  ///< Op::kInvalid (no program word decodes to it): asserts
 };
 
 /// Classification flags precomputed per instruction.
@@ -92,60 +91,11 @@ enum DecodedFlags : std::uint16_t {
 /// per-cycle issue path would otherwise re-derive.
 struct DecodedInst {
   isa::Inst inst;
-  ExecClass cls = ExecClass::kFallback;
+  ExecClass cls = ExecClass::kInvalid;
   std::uint16_t flags = 0;
   std::uint8_t load_bytes = 0;            ///< access size for kLoad/kStore
   LoadExt load_ext = LoadExt::k64;        ///< writeback extension for kLoad
   std::uint8_t wb_latency_kind = 0;       ///< 0 none, 1 mul_latency, 2 div_latency
-};
-
-/// Micro-op flags precomputed per FREP body instruction (per stagger
-/// offset).
-enum MicroOpFlags : std::uint8_t {
-  kMNativeFp = 1u << 0,   ///< FP->FP datapath op: Fpss::issue_mop fast path
-  kMWritesFp = 1u << 1,
-  kMFpCompute = 1u << 2,
-  kMFmadd = 1u << 3,
-  kMFmul = 1u << 4,
-  kMIterative = 1u << 5,  ///< blocks the iterative divide/sqrt unit
-};
-
-/// One FREP body instruction with register staggering resolved for a
-/// specific iteration offset and its source registers pre-gathered.
-struct FpssMicroOp {
-  isa::Inst inst;          ///< stagger-resolved instruction
-  std::uint8_t srcs[3] = {0, 0, 0};
-  std::uint8_t n_src = 0;
-  std::uint8_t mflags = 0;
-  std::uint8_t flops = 0;
-};
-
-/// A compiled FREP loop body: the source (unstaggered) instructions for
-/// capture-time validation plus period * n_insts micro-ops indexed
-/// [offset * n_insts + pos], offset = iter % period.
-struct CompiledFrep {
-  std::uint32_t head_index = 0;  ///< instruction index of the kFrep itself
-  unsigned n_insts = 0;
-  unsigned period = 1;  ///< stagger period (stagger_max + 1; 1 = none)
-  /// False when the translator could not lower the body: it is clamped by
-  /// the program end, or contains an instruction FREP cannot replay
-  /// (another FREP, fld/fsd). The sequencer then keeps the interpreted
-  /// replay path, which reproduces the exact legacy behavior (including
-  /// the assertion/watchdog outcome for genuinely invalid bodies).
-  bool valid = false;
-  std::vector<isa::Inst> body;  ///< source body, program order
-  std::vector<FpssMicroOp> mops;
-};
-
-/// A maximal region the translator identified. Straight-line blocks break
-/// at control transfers (branch/jal/jalr/ecall/ebreak), at CSR accesses
-/// (every CSR is a potential interpreter-fallback seam: streamer config,
-/// sync, barrier), at branch targets, and around FREP bodies.
-struct CompiledBlock {
-  enum class Kind : std::uint8_t { kStraight, kFrepBody };
-  std::uint32_t first = 0;  ///< instruction index of the first instruction
-  std::uint32_t count = 0;
-  Kind kind = Kind::kStraight;
 };
 
 /// The immutable translation of one Program. Thread-safe to share
@@ -162,76 +112,54 @@ class CompiledProgram {
     return decoded_[idx];
   }
 
-  /// The compiled FREP body whose kFrep instruction sits at `pc`, or
-  /// nullptr when `pc` is not a lowered FREP head.
-  const CompiledFrep* frep_at(addr_t pc) const {
+  /// FPU-subsystem micro-op of the FP instruction at `pc` (a
+  /// default-constructed one for integer instructions and FREP).
+  const FpssMicroOp& mop(addr_t pc) const {
     const std::size_t idx = (pc - isa::Program::kBaseAddr) / 4;
-    if (idx >= frep_index_.size() || frep_index_[idx] < 0) return nullptr;
-    return &freps_[static_cast<std::size_t>(frep_index_[idx])];
+    assert(idx < mops_.size() && (pc & 3) == 0);
+    return mops_[idx];
   }
-
-  /// Pre-lowered micro-op of the instruction at `pc` for straight-line
-  /// (non-FREP) FPSS dispatch: kMNativeFp set means the sequencer can
-  /// issue it through Fpss::issue_mop with source registers and
-  /// classification flags precomputed; mflags == 0 otherwise (cold or
-  /// integer-operand-consuming ops keep the interpreted try_issue).
-  const FpssMicroOp& imop(addr_t pc) const {
-    const std::size_t idx = (pc - isa::Program::kBaseAddr) / 4;
-    assert(idx < imops_.size() && (pc & 3) == 0);
-    return imops_[idx];
-  }
-
-  /// Discovered block structure (program order; covers every instruction
-  /// exactly once). Exposed for tests and the architecture docs.
-  const std::vector<CompiledBlock>& blocks() const { return blocks_; }
-  const std::vector<CompiledFrep>& freps() const { return freps_; }
 
  private:
   std::vector<DecodedInst> decoded_;
-  std::vector<FpssMicroOp> imops_;  ///< per-inst straight-line micro-ops
-  std::vector<CompiledBlock> blocks_;
-  std::vector<CompiledFrep> freps_;
-  std::vector<std::int32_t> frep_index_;  ///< per-inst index into freps_, -1
+  std::vector<FpssMicroOp> mops_;
 };
 
-/// Integer ALU evaluation shared by the compiled dispatch (semantics
-/// mirror SnitchCore::issue case for case; the differential fuzzer pins
-/// the equivalence). `pc` feeds auipc.
-std::uint64_t compiled_alu_eval(isa::Op op, std::uint64_t a, std::uint64_t b,
-                                std::int64_t imm, addr_t pc);
+/// Integer ALU result of a kAlu instruction (SnitchCore::issue). `pc`
+/// feeds auipc.
+std::uint64_t alu_eval(isa::Op op, std::uint64_t a, std::uint64_t b,
+                       std::int64_t imm, addr_t pc);
 
-/// Branch predicate shared by the compiled dispatch.
-bool compiled_branch_taken(isa::Op op, std::uint64_t a, std::uint64_t b);
+/// Branch predicate of a kBranch instruction.
+bool branch_taken(isa::Op op, std::uint64_t a, std::uint64_t b);
 
 /// The fused cycle executor for a single-CC simulation on ideal memory:
-/// whenever the core is not at an interpreter seam (barrier CSR, halt,
-/// cold opcode), one try_tick() call performs the whole core-complex
-/// cycle — memory tick, hub routing, real core and FPSS ticks (with a
-/// specialized parked-core path for the sync-CSR + FREP-replay steady
-/// state), stream-lane ticks whose own memory traffic bypasses the port
-/// protocol, and stall accounting — skipping the per-unit horizon scans
-/// of the generic dispatch.
+/// whenever the core is not at a seam (barrier CSR, halt), one try_tick()
+/// call performs the whole core-complex cycle — memory tick, hub routing,
+/// real core and FPSS ticks (with a specialized parked-core path for the
+/// sync-CSR + FREP-replay steady state), stream-lane ticks whose own
+/// memory traffic bypasses the port protocol, and stall accounting —
+/// skipping the per-unit horizon scans of the generic dispatch.
 /// Every cycle where the preconditions fail returns false and the caller
-/// runs the ordinary interpreter tick; the fused tick itself reproduces
-/// the interpreter's state transitions exactly (see compile.cpp for the
-/// cycle-order argument).
+/// runs the ordinary per-cycle tick; the fused tick itself reproduces its
+/// state transitions exactly (see compile.cpp for the cycle-order
+/// argument).
 class CompiledExec {
  public:
-  CompiledExec(CoreComplex& cc, mem::IdealMemory& mem,
-               const CompiledProgram& cp);
+  CompiledExec(CoreComplex& cc, mem::IdealMemory& mem);
 
   /// Burst through consecutive fused cycles starting at `now`: executes
-  /// fused cycles [now, returned) and stops at the first interpreter
-  /// seam, at the first no-progress cycle (the engine must run its
+  /// fused cycles [now, returned) and stops at the first seam, at the
+  /// first no-progress cycle (the engine must run its
   /// horizon/watchdog scan), or at the cycle budget `limit`. One gate
   /// evaluation per cycle (SnitchCore::fused_gate + the FPSS replay
   /// check) picks between the generic fused cycle and, when both ports
   /// and all hubs are additionally drained, a parked tight loop — core
-  /// blocked on the sync CSR, FPSS in compiled FREP replay — that runs
-  /// only the work that can change in that state and batches the core's
-  /// counter increments at exit. Every executed cycle reproduces the
-  /// interpreter's state transitions exactly (see the cycle-order
-  /// argument in compile.cpp). After the call, fused_advanced() reflects
+  /// blocked on the sync CSR, FPSS in FREP replay — that runs only the
+  /// work that can change in that state and batches the core's counter
+  /// increments at exit. Every executed cycle reproduces the per-cycle
+  /// tick's state transitions exactly (see the cycle-order argument in
+  /// compile.cpp). After the call, fused_advanced() reflects
   /// the last executed cycle (false after a no-progress cycle or when no
   /// cycle ran). Flattened: the per-cycle unit ticks are small and
   /// call-bound, and this loop is the simulation's hot path — inlining
@@ -242,11 +170,11 @@ class CompiledExec {
   /// single-tick path, e.g. the fast-forward wait tick).
   bool try_tick(cycle_t now) { return fused_span(now, now + 1) != now; }
 
-  /// Must be called before any interpreter tick that follows fused ticks:
+  /// Must be called before any unfused tick that follows fused ticks:
   /// materializes still-undelivered lane bypass requests onto the real
   /// ports and re-primes the stall accountant's snapshot (fused cycles
   /// classify directly and leave it stale).
-  void before_interpreted_tick();
+  void before_unfused_tick();
 
   /// Post-run flush: materialize lane bypass requests so the caller's
   /// port drain serves them (a run can stop — quiescence, cycle limit —
@@ -267,7 +195,6 @@ class CompiledExec {
  private:
   CoreComplex& cc_;
   mem::IdealMemory& mem_;
-  const CompiledProgram& cp_;
   SnitchCore& core_;
   Fpss& fpss_;
   ssr::Lane& ssr_lane_;

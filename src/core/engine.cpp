@@ -5,24 +5,17 @@
 namespace issr::core {
 
 namespace {
-// Plain bools by design: flipped once during argument parsing, before any
+// A plain bool by design: flipped once during argument parsing, before any
 // simulator (or sweep worker thread) is constructed.
 bool g_fast_forward = true;
-bool g_compiled = true;
 }  // namespace
 
 bool engine_fast_forward_default() { return g_fast_forward; }
 void set_engine_fast_forward_default(bool on) { g_fast_forward = on; }
 
-bool engine_compiled_default() { return g_compiled; }
-void set_engine_compiled_default(bool on) { g_compiled = on; }
-
 void register_engine_cli(cli::FlagParser& parser) {
   parser.add_switch("--no-fast-forward",
                     [] { set_engine_fast_forward_default(false); });
-  parser.add_switch("--compiled", [] { set_engine_compiled_default(true); });
-  parser.add_switch("--no-compiled",
-                    [] { set_engine_compiled_default(false); });
 }
 
 }  // namespace issr::core

@@ -32,16 +32,8 @@ namespace issr::core {
 bool engine_fast_forward_default();
 void set_engine_fast_forward_default(bool on);
 
-/// Default for CcSimConfig::compiled / ClusterConfig::compiled — the
-/// compiled-execution tier (core/compile.hpp). On by default; exact
-/// either way, so --no-compiled exists only to bisect a suspected
-/// discrepancy to the compiled tier (and for the differential harness).
-bool engine_compiled_default();
-void set_engine_compiled_default(bool on);
-
-/// Register the shared engine flags (--no-fast-forward,
-/// --compiled/--no-compiled) on a binary's flag parser. Used by issr_run
-/// and, via bench_common, every bench.
+/// Register the shared engine flag (--no-fast-forward) on a binary's
+/// flag parser. Used by issr_run and, via bench_common, every bench.
 void register_engine_cli(cli::FlagParser& parser);
 
 /// Why run_engine stopped ticking.
@@ -83,12 +75,13 @@ struct EngineRun {
 /// Units may additionally provide
 ///   cycle_t tick_span(cycle_t now, cycle_t limit);  // advance >= 1 cycles,
 ///                                       // return the new cycle count
-/// which the loop top then calls instead of tick(); the compiled tier
-/// uses it to burst through consecutive fused cycles without paying the
-/// per-cycle done()/next_event() scans. A burst must stop (and return to
-/// the engine) no later than `limit`, at the first cycle that makes no
-/// forward progress — the horizon checks it skips are exactly those an
-/// interpreted run would answer "progressing, horizon == now" — and
+/// which the loop top then calls instead of tick(); the fused executor
+/// (core/compile.hpp) uses it to burst through consecutive fused cycles
+/// without paying the per-cycle done()/next_event() scans. A burst must
+/// stop (and return to the engine) no later than `limit`, at the first
+/// cycle that makes no forward progress — the horizon checks it skips
+/// are exactly those an unfused run would answer "progressing, horizon
+/// == now" — and
 /// whenever its fast path does not apply, in which case it performs one
 /// ordinary tick so the engine's per-cycle contract resumes.
 /// The skip is exact: when next_event reports a horizon more than one

@@ -10,44 +10,10 @@ namespace issr::core {
 using isa::Inst;
 using isa::Op;
 
-Fpss::Fpss(const FpssParams& params, ssr::Streamer& streamer,
-           ssr::PortClient lsu_port)
-    : params_(params), streamer_(streamer), lsu_(lsu_port) {}
+namespace {
 
-void Fpss::offload(const OffloadEntry& entry) {
-  assert(can_offload());
-  assert(op_is_fpss(entry.inst.op));
-  queue_.push_back(entry);
-}
-
-bool Fpss::idle(cycle_t now) const {
-  if (!queue_.empty() || frep_.active || lsu_outstanding_ > 0) return false;
-  if (!int_wb_.empty()) return false;
-  return last_completion_ <= now;
-}
-
-std::optional<Fpss::IntWriteback> Fpss::pop_int_writeback(cycle_t now) {
-  if (int_wb_.empty() || int_wb_.front().ready_at > now) return std::nullopt;
-  const auto& front = int_wb_.front();
-  IntWriteback wb{front.rd, front.value};
-  int_wb_.pop_front();
-  return wb;
-}
-
-Inst Fpss::staggered(const Inst& inst, std::uint64_t iter) const {
-  if (frep_.stagger_mask == 0 || frep_.stagger_max == 0) return inst;
-  const auto offset =
-      static_cast<std::uint8_t>(iter % (frep_.stagger_max + 1u));
-  if (offset == 0) return inst;
-  Inst out = inst;
-  if (frep_.stagger_mask & 0x1) out.rd = (out.rd + offset) & 31;
-  if (frep_.stagger_mask & 0x2) out.rs1 = (out.rs1 + offset) & 31;
-  if (frep_.stagger_mask & 0x4) out.rs2 = (out.rs2 + offset) & 31;
-  if (frep_.stagger_mask & 0x8) out.rs3 = (out.rs3 + offset) & 31;
-  return out;
-}
-
-unsigned Fpss::fp_src_regs(const Inst& inst, std::uint8_t out[3]) {
+/// FP source register fields of an instruction, in operand order.
+unsigned fp_src_regs(const Inst& inst, std::uint8_t out[3]) {
   switch (inst.op) {
     case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
       out[0] = inst.rs1;
@@ -72,16 +38,81 @@ unsigned Fpss::fp_src_regs(const Inst& inst, std::uint8_t out[3]) {
   }
 }
 
-bool Fpss::try_issue(const Inst& inst, std::uint64_t int_operand,
-                     cycle_t now) {
-  // --- Readiness checks ----------------------------------------------------
-  std::uint8_t srcs[3];
-  const unsigned n_src = fp_src_regs(inst, srcs);
+/// Apply FREP register staggering for one iteration offset.
+Inst apply_stagger(const Inst& inst, unsigned offset, unsigned mask) {
+  if (offset == 0) return inst;
+  Inst out = inst;
+  if (mask & 0x1) out.rd = (out.rd + offset) & 31;
+  if (mask & 0x2) out.rs1 = (out.rs1 + offset) & 31;
+  if (mask & 0x4) out.rs2 = (out.rs2 + offset) & 31;
+  if (mask & 0x8) out.rs3 = (out.rs3 + offset) & 31;
+  return out;
+}
 
+}  // namespace
+
+FpssMicroOp lower_fpss_op(const Inst& inst) {
+  FpssMicroOp m;
+  m.inst = inst;
+  m.n_src = static_cast<std::uint8_t>(fp_src_regs(inst, m.srcs));
+  const Op op = inst.op;
+  if (op == Op::kFld) {
+    m.kind = FpssKind::kLoad;
+  } else if (op == Op::kFsd) {
+    m.kind = FpssKind::kStore;
+  } else if (isa::op_int_to_fp(op)) {
+    m.kind = FpssKind::kFromInt;
+  } else if (isa::op_fp_to_int(op)) {
+    m.kind = FpssKind::kToInt;
+  }
+  if (isa::op_writes_fp_rd(op)) m.mflags |= kMWritesFp;
+  if (isa::op_is_fp_compute(op)) m.mflags |= kMFpCompute;
+  switch (op) {
+    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
+      m.mflags |= kMFmadd;
+      break;
+    case Op::kFmulD:
+      m.mflags |= kMFmul;
+      break;
+    default:
+      break;
+  }
+  if (fpu_is_iterative(op)) m.mflags |= kMIterative;
+  m.flops = static_cast<std::uint8_t>(isa::op_flops(op));
+  return m;
+}
+
+Fpss::Fpss(const FpssParams& params, ssr::Streamer& streamer,
+           ssr::PortClient lsu_port, const CompiledProgram* program)
+    : params_(params), streamer_(streamer), lsu_(lsu_port), program_(program) {}
+
+void Fpss::offload(const OffloadEntry& entry) {
+  assert(can_offload());
+  assert(op_is_fpss(entry.inst.op));
+  queue_.push_back(entry);
+}
+
+bool Fpss::idle(cycle_t now) const {
+  if (!queue_.empty() || frep_.active || lsu_outstanding_ > 0) return false;
+  if (!int_wb_.empty()) return false;
+  return last_completion_ <= now;
+}
+
+std::optional<Fpss::IntWriteback> Fpss::pop_int_writeback(cycle_t now) {
+  if (int_wb_.empty() || int_wb_.front().ready_at > now) return std::nullopt;
+  const auto& front = int_wb_.front();
+  IntWriteback wb{front.rd, front.value};
+  int_wb_.pop_front();
+  return wb;
+}
+
+bool Fpss::issue(const FpssMicroOp& m, std::uint64_t int_operand,
+                 cycle_t now) {
+  // --- Readiness checks ----------------------------------------------------
   // Stream sources must all have data; non-stream sources must not be
   // pending in the pipeline.
-  for (unsigned s = 0; s < n_src; ++s) {
-    const unsigned r = srcs[s];
+  for (unsigned s = 0; s < m.n_src; ++s) {
+    const unsigned r = m.srcs[s];
     if (streamer_.is_stream_reg(r)) {
       if (!streamer_.lane(r).can_pop()) {
         streamer_.lane(r).note_starved();
@@ -95,24 +126,23 @@ bool Fpss::try_issue(const Inst& inst, std::uint64_t int_operand,
     }
   }
 
-  const bool writes_fp = op_writes_fp_rd(inst.op);
-  if (writes_fp) {
-    if (streamer_.is_stream_reg(inst.rd)) {
-      if (inst.op == Op::kFld) {
-        assert(false && "fld into a stream register is not supported");
-      }
-      if (!streamer_.lane(inst.rd).can_push()) {
+  const unsigned rd = m.inst.rd;
+  if (m.mflags & kMWritesFp) {
+    if (streamer_.is_stream_reg(rd)) {
+      assert(m.kind != FpssKind::kLoad &&
+             "fld into a stream register is not supported");
+      if (!streamer_.lane(rd).can_push()) {
         ++stats_.stall_stream;
         return false;
       }
-    } else if (scoreboard_busy(inst.rd, now)) {
-      note_fp_wait(inst.rd, now);
+    } else if (scoreboard_busy(rd, now)) {
+      note_fp_wait(rd, now);
       ++stats_.stall_raw;  // WAW on an in-flight writeback
       return false;
     }
   }
 
-  if (inst.op == Op::kFld || inst.op == Op::kFsd) {
+  if (m.kind == FpssKind::kLoad || m.kind == FpssKind::kStore) {
     if (lsu_outstanding_ >= params_.lsu_max_outstanding ||
         !lsu_.can_request()) {
       ++stats_.stall_mem;
@@ -120,13 +150,14 @@ bool Fpss::try_issue(const Inst& inst, std::uint64_t int_operand,
     }
   }
 
-  if (fpu_is_iterative(inst.op) && iterative_busy_until_ > now) {
+  if ((m.mflags & kMIterative) && iterative_busy_until_ > now) {
     if (iterative_busy_until_ < self_wake_) self_wake_ = iterative_busy_until_;
     ++stats_.stall_raw;
     return false;
   }
 
   // --- Execute ---------------------------------------------------------------
+  ++stats_.issued;
   // A stream register pops exactly once per instruction, even when several
   // operand fields name it (the fsgnj.d rd, ftX, ftX move idiom).
   double stream_val[ssr::Streamer::kNumLanes] = {};
@@ -142,21 +173,40 @@ bool Fpss::try_issue(const Inst& inst, std::uint64_t int_operand,
     return fregs_[r];
   };
 
-  const unsigned lat = fpu_latency(params_.fpu, inst.op);
-
-  switch (inst.op) {
-    case Op::kFld: {
+  const unsigned lat = fpu_latency(params_.fpu, m.inst.op);
+  double result = 0.0;
+  switch (m.kind) {
+    case FpssKind::kCompute: {
+      // Pop/read operands in field order.
+      double a = 0.0, b = 0.0, c = 0.0;
+      if (m.n_src >= 1) a = read_src(m.srcs[0]);
+      if (m.n_src >= 2) b = read_src(m.srcs[1]);
+      if (m.n_src >= 3) c = read_src(m.srcs[2]);
+      result = fpu_compute(m.inst.op, a, b, c);
+      if (m.mflags & kMIterative) iterative_busy_until_ = now + lat;
+      if (m.mflags & kMFpCompute) {
+        ++stats_.fp_compute;
+        stats_.flops += m.flops;
+        if (m.mflags & kMFmadd) ++stats_.fmadd;
+        if (m.mflags & kMFmul) ++stats_.fmul;
+      }
+      break;
+    }
+    case FpssKind::kFromInt:
+      result = fpu_compute_from_int(m.inst.op, int_operand);
+      break;
+    case FpssKind::kLoad: {
       mem::MemReq req;
       req.addr = int_operand;  // effective address captured at core issue
       req.bytes = 8;
-      lsu_.request(req, inst.rd);
-      load_pending_[inst.rd] = true;
+      lsu_.request(req, rd);
+      load_pending_[rd] = true;
       ++lsu_outstanding_;
       ++stats_.loads;
-      break;
+      return true;
     }
-    case Op::kFsd: {
-      const double value = read_src(inst.rs2);
+    case FpssKind::kStore: {
+      const double value = read_src(m.srcs[0]);
       mem::MemReq req;
       req.addr = int_operand;
       req.bytes = 8;
@@ -164,123 +214,18 @@ bool Fpss::try_issue(const Inst& inst, std::uint64_t int_operand,
       req.wdata = std::bit_cast<std::uint64_t>(value);
       lsu_.request(req, 0);
       ++stats_.stores;
-      break;
+      return true;
     }
-    case Op::kFcvtDW: case Op::kFcvtDWu: case Op::kFmvDX: {
-      const double result = fpu_compute_from_int(inst.op, int_operand);
-      if (streamer_.is_stream_reg(inst.rd)) {
-        streamer_.lane(inst.rd).push(result);
-      } else {
-        fregs_[inst.rd] = result;
-        busy_until_[inst.rd] = now + lat;
-        last_completion_ = std::max(last_completion_, now + lat);
-      }
-      break;
-    }
-    case Op::kFeqD: case Op::kFltD: case Op::kFleD:
-    case Op::kFcvtWD: case Op::kFcvtWuD: case Op::kFmvXD: {
-      const double a = read_src(srcs[0]);
-      const double b = n_src > 1 ? read_src(srcs[1]) : 0.0;
-      const std::uint64_t result = fpu_compute_to_int(inst.op, a, b);
-      int_wb_.push_back({now + lat, inst.rd, result});
+    case FpssKind::kToInt: {
+      const double a = read_src(m.srcs[0]);
+      const double b = m.n_src > 1 ? read_src(m.srcs[1]) : 0.0;
+      int_wb_.push_back(
+          {now + lat, m.inst.rd, fpu_compute_to_int(m.inst.op, a, b)});
       last_completion_ = std::max(last_completion_, now + lat);
-      break;
-    }
-    default: {
-      // FP -> FP datapath op. Pop/read operands in field order.
-      double a = 0.0, b = 0.0, c = 0.0;
-      if (n_src >= 1) a = read_src(srcs[0]);
-      if (n_src >= 2) b = read_src(srcs[1]);
-      if (n_src >= 3) c = read_src(srcs[2]);
-      const double result = fpu_compute(inst.op, a, b, c);
-      assert(writes_fp);
-      if (streamer_.is_stream_reg(inst.rd)) {
-        streamer_.lane(inst.rd).push(result);
-      } else {
-        fregs_[inst.rd] = result;
-        busy_until_[inst.rd] = now + lat;
-        last_completion_ = std::max(last_completion_, now + lat);
-      }
-      if (fpu_is_iterative(inst.op)) iterative_busy_until_ = now + lat;
-      if (op_is_fp_compute(inst.op)) {
-        ++stats_.fp_compute;
-        stats_.flops += op_flops(inst.op);
-        switch (inst.op) {
-          case Op::kFmaddD: case Op::kFmsubD:
-          case Op::kFnmsubD: case Op::kFnmaddD:
-            ++stats_.fmadd;
-            break;
-          case Op::kFmulD:
-            ++stats_.fmul;
-            break;
-          default:
-            break;
-        }
-      }
-      break;
+      return true;
     }
   }
-
-  ++stats_.issued;
-  return true;
-}
-
-bool Fpss::issue_mop(const FpssMicroOp& m, cycle_t now) {
-  if (!(m.mflags & kMNativeFp)) return try_issue(m.inst, 0, now);
-
-  // FP->FP datapath op: the pre-gathered operands and flags replace
-  // fp_src_regs and the op_* classification calls of try_issue; every
-  // check and state effect below mirrors that function line for line.
-  for (unsigned s = 0; s < m.n_src; ++s) {
-    const unsigned r = m.srcs[s];
-    if (streamer_.is_stream_reg(r)) {
-      if (!streamer_.lane(r).can_pop()) {
-        streamer_.lane(r).note_starved();
-        ++stats_.stall_stream;
-        return false;
-      }
-    } else if (scoreboard_busy(r, now)) {
-      note_fp_wait(r, now);
-      ++stats_.stall_raw;
-      return false;
-    }
-  }
-  const unsigned rd = m.inst.rd;
-  if (streamer_.is_stream_reg(rd)) {
-    if (!streamer_.lane(rd).can_push()) {
-      ++stats_.stall_stream;
-      return false;
-    }
-  } else if (scoreboard_busy(rd, now)) {
-    note_fp_wait(rd, now);
-    ++stats_.stall_raw;
-    return false;
-  }
-  if ((m.mflags & kMIterative) && iterative_busy_until_ > now) {
-    if (iterative_busy_until_ < self_wake_) self_wake_ = iterative_busy_until_;
-    ++stats_.stall_raw;
-    return false;
-  }
-
-  double stream_val[ssr::Streamer::kNumLanes] = {};
-  bool stream_popped[ssr::Streamer::kNumLanes] = {};
-  auto read_src = [&](unsigned r) -> double {
-    if (streamer_.is_stream_reg(r)) {
-      if (!stream_popped[r]) {
-        stream_val[r] = streamer_.lane(r).pop();
-        stream_popped[r] = true;
-      }
-      return stream_val[r];
-    }
-    return fregs_[r];
-  };
-
-  const unsigned lat = fpu_latency(params_.fpu, m.inst.op);
-  double a = 0.0, b = 0.0, c = 0.0;
-  if (m.n_src >= 1) a = read_src(m.srcs[0]);
-  if (m.n_src >= 2) b = read_src(m.srcs[1]);
-  if (m.n_src >= 3) c = read_src(m.srcs[2]);
-  const double result = fpu_compute(m.inst.op, a, b, c);
+  // The FP result of a kCompute or kFromInt op.
   if (streamer_.is_stream_reg(rd)) {
     streamer_.lane(rd).push(result);
   } else {
@@ -288,15 +233,27 @@ bool Fpss::issue_mop(const FpssMicroOp& m, cycle_t now) {
     busy_until_[rd] = now + lat;
     last_completion_ = std::max(last_completion_, now + lat);
   }
-  if (m.mflags & kMIterative) iterative_busy_until_ = now + lat;
-  if (m.mflags & kMFpCompute) {
-    ++stats_.fp_compute;
-    stats_.flops += m.flops;
-    if (m.mflags & kMFmadd) ++stats_.fmadd;
-    if (m.mflags & kMFmul) ++stats_.fmul;
-  }
-  ++stats_.issued;
   return true;
+}
+
+void Fpss::arm_replay() {
+  const bool stagger = frep_.stagger_mask != 0 && frep_.stagger_max != 0;
+  const unsigned period = stagger ? frep_.stagger_max + 1u : 1u;
+  const unsigned mask = stagger ? frep_.stagger_mask : 0u;
+  if (period != rows_period_ || mask != rows_mask_ ||
+      frep_.buffer != rows_body_) {
+    rows_body_ = frep_.buffer;
+    rows_period_ = period;
+    rows_mask_ = mask;
+    rows_.clear();
+    for (unsigned offset = 0; offset < period; ++offset) {
+      for (const Inst& inst : rows_body_) {
+        rows_.push_back(lower_fpss_op(apply_stagger(inst, offset, mask)));
+      }
+    }
+  }
+  // Replay resumes at iteration 1.
+  frep_row_ = rows_.data() + (period == 1 ? 0 : frep_.n_insts);
 }
 
 void Fpss::tick(cycle_t now) {
@@ -317,32 +274,19 @@ void Fpss::tick(cycle_t now) {
 
   // 2. Sequencer: pick and issue at most one instruction.
   if (frep_.active && !frep_.capturing) {
-    // Replay: from the compiled micro-op table when the captured body
-    // validated against it, else from the loop buffer with staggering
-    // applied per issue (identical semantics either way).
-    bool ok;
-    if (frep_mops_ != nullptr) {
-      ok = issue_mop(frep_row_[frep_.pos], now);
-    } else {
-      const Inst inst = staggered(frep_.buffer[frep_.pos], frep_.iter);
-      ok = try_issue(inst, 0, now);
-    }
-    if (ok) {
+    // Replay from the current iteration's row.
+    if (issue(frep_row_[frep_.pos], 0, now)) {
       advanced_ = true;
-      ++frep_.pos;
-      if (frep_.pos == frep_.n_insts) {
+      if (++frep_.pos == frep_.n_insts) {
         frep_.pos = 0;
-        ++frep_.iter;
-        if (frep_.iter == frep_.total_iters) {
+        if (++frep_.iter == frep_.total_iters) {
           frep_.active = false;
-          frep_.buffer.clear();
-          frep_mops_ = nullptr;
-          frep_row_ = frep_row_end_ = nullptr;
-          frep_src_ = nullptr;
           trace_.end(now, "frep");
-        } else if (frep_mops_ != nullptr) {
+        } else {
           frep_row_ += frep_.n_insts;
-          if (frep_row_ == frep_row_end_) frep_row_ = frep_mops_;
+          if (frep_row_ == rows_.data() + rows_.size()) {
+            frep_row_ = rows_.data();
+          }
         }
       }
     }
@@ -367,10 +311,6 @@ void Fpss::tick(cycle_t now) {
     frep_.pos = 0;
     frep_.stagger_max = front.inst.frep_stagger_max;
     frep_.stagger_mask = front.inst.frep_stagger_mask;
-    frep_mops_ = nullptr;
-    frep_row_ = frep_row_end_ = nullptr;
-    frep_period_ = 1;
-    frep_src_ = compiled_ != nullptr ? compiled_->frep_at(front.pc) : nullptr;
     const cycle_t setup_iters = frep_.total_iters;
     queue_.pop_front();
     ++stats_.issued;
@@ -383,72 +323,39 @@ void Fpss::tick(cycle_t now) {
       // CSR hung until the watchdog.)
       frep_.active = false;
       frep_.capturing = false;
-      frep_src_ = nullptr;
       trace_.end(now, "frep");
     }
     return;  // FREP setup occupies the issue slot this cycle
   }
 
-  if (frep_.active && frep_.capturing) {
+  if (frep_.capturing) {
     // Iteration 0 executes while capturing into the loop buffer.
-    assert(front.inst.op != Op::kFrep);
     assert(front.inst.op != Op::kFld && front.inst.op != Op::kFsd &&
            "memory operations inside FREP are not supported");
-    if (try_issue(front.inst, front.int_operand, now)) {
-      advanced_ = true;
-      frep_.buffer.push_back(front.inst);
-      queue_.pop_front();
-      if (frep_.buffer.size() == frep_.n_insts) {
-        frep_.capturing = false;
-        frep_.pos = 0;
-        frep_.iter = 1;
-        // Arm the compiled micro-op table only when the captured buffer is
-        // exactly the statically lowered body — a branch between the FREP
-        // head and its body instructions can make the core offload a
-        // different sequence, and replay must follow what was captured.
-        if (frep_src_ != nullptr && frep_src_->valid &&
-            frep_src_->body == frep_.buffer) {
-          frep_mops_ = frep_src_->mops.data();
-          frep_period_ = frep_src_->period;
-          // Replay resumes at iter == 1.
-          frep_row_end_ = frep_mops_ + frep_period_ * frep_.n_insts;
-          frep_row_ =
-              frep_period_ == 1 ? frep_mops_ : frep_mops_ + frep_.n_insts;
-        }
-        if (frep_.total_iters == 1) {
-          frep_.active = false;
-          frep_.buffer.clear();
-          frep_mops_ = nullptr;
-          frep_row_ = frep_row_end_ = nullptr;
-          frep_src_ = nullptr;
-          trace_.end(now, "frep");
-        }
+  }
+  // The entry's micro-op: from the core's translation (front.inst is the
+  // instruction at front.pc) or, for a bare subsystem, lowered here.
+  FpssMicroOp lowered;
+  const FpssMicroOp& m = program_ != nullptr
+                             ? program_->mop(front.pc)
+                             : (lowered = lower_fpss_op(front.inst));
+  if (!issue(m, front.int_operand, now)) return;
+  advanced_ = true;
+  if (frep_.capturing) {
+    frep_.buffer.push_back(front.inst);
+    if (frep_.buffer.size() == frep_.n_insts) {
+      frep_.capturing = false;
+      frep_.pos = 0;
+      frep_.iter = 1;
+      if (frep_.total_iters == 1) {
+        frep_.active = false;
+        trace_.end(now, "frep");
+      } else {
+        arm_replay();
       }
     }
-    return;
   }
-
-  // Straight-line dispatch: native FP->FP datapath ops issue from the
-  // pre-lowered per-instruction micro-op (source registers and
-  // classification flags precomputed at translation; front.inst is by
-  // construction the instruction at front.pc). Everything consuming the
-  // captured integer operand — fld/fsd addresses, fp-from-int moves —
-  // keeps the interpreted try_issue, which issue_mop would route to with
-  // the operand lost.
-  if (compiled_ != nullptr) {
-    const FpssMicroOp& m = compiled_->imop(front.pc);
-    if (m.mflags & kMNativeFp) {
-      if (issue_mop(m, now)) {
-        advanced_ = true;
-        queue_.pop_front();
-      }
-      return;
-    }
-  }
-  if (try_issue(front.inst, front.int_operand, now)) {
-    advanced_ = true;
-    queue_.pop_front();
-  }
+  queue_.pop_front();
 }
 
 }  // namespace issr::core

@@ -59,25 +59,61 @@ struct FpssStats {
   }
 };
 
+/// How the FPU subsystem executes an instruction; fixed by the opcode.
+enum class FpssKind : std::uint8_t {
+  kCompute,  ///< FP -> FP datapath op
+  kLoad,     ///< fld: FP LSU read into an FP register
+  kStore,    ///< fsd: FP LSU write of rs2
+  kFromInt,  ///< fcvt.d.w[u], fmv.d.x: consume the captured integer operand
+  kToInt,    ///< compares, fcvt.w[u].d, fmv.x.d: integer writeback
+};
+
+/// Classification flags of a micro-op.
+enum MicroOpFlags : std::uint8_t {
+  kMWritesFp = 1u << 0,    ///< writes an FP rd (register or stream)
+  kMFpCompute = 1u << 1,   ///< counts as FPU arithmetic (utilization)
+  kMFmadd = 1u << 2,
+  kMFmul = 1u << 3,
+  kMIterative = 1u << 4,   ///< blocks the iterative divide/sqrt unit
+};
+
+/// One FP instruction as the sequencer issues it: the instruction (FREP
+/// register staggering already applied), its FP source registers in
+/// operand order, and its classification. Everything issue needs is fixed
+/// here, so an issue attempt derives nothing from the opcode.
+struct FpssMicroOp {
+  isa::Inst inst;
+  std::uint8_t srcs[3] = {0, 0, 0};
+  std::uint8_t n_src = 0;
+  FpssKind kind = FpssKind::kCompute;
+  std::uint8_t mflags = 0;
+  std::uint8_t flops = 0;
+};
+
+/// Lower one offloadable instruction other than FREP to its micro-op.
+FpssMicroOp lower_fpss_op(const isa::Inst& inst);
+
 /// One offloaded instruction plus the integer operand captured at the
 /// core's issue stage (effective address for fld/fsd, rs1 value for
 /// int->FP converts, iteration count for FREP).
 struct OffloadEntry {
   isa::Inst inst;
   std::uint64_t int_operand = 0;
-  /// pc of the instruction at offload — the compiled tier's key for
-  /// looking up a pre-lowered FREP body (compile.hpp).
+  /// pc of the instruction at offload: the key of its micro-op in the
+  /// core's translation (CompiledProgram::mop).
   addr_t pc = 0;
 };
 
 class CompiledProgram;
-struct CompiledFrep;
-struct FpssMicroOp;
 
 class Fpss {
  public:
+  /// `program` is the translation the offloading core runs: an entry
+  /// then issues the micro-op lowered for its pc. Without one (a bare
+  /// subsystem fed by hand), each entry is lowered when it reaches the
+  /// head of the queue.
   Fpss(const FpssParams& params, ssr::Streamer& streamer,
-       ssr::PortClient lsu_port);
+       ssr::PortClient lsu_port, const CompiledProgram* program = nullptr);
 
   // --- Core-side interface -------------------------------------------------
   bool can_offload() const { return queue_.size() < params_.offload_queue_depth; }
@@ -132,20 +168,14 @@ class Fpss {
   /// Timeline hook: FREP hardware-loop slices (trace/).
   trace::Tracer& tracer() { return trace_; }
 
-  // --- Compiled-tier seams (core/compile.hpp) ------------------------------
-  /// Attach the pre-lowered program. FREP setups then look up their
-  /// compiled body by offload pc and replay from the micro-op table once
-  /// the captured buffer validates against the static body; a lookup or
-  /// validation miss silently keeps the interpreted replay path.
-  void set_compiled(const CompiledProgram* cp) { compiled_ = cp; }
-
-  /// True iff the sequencer is in steady-state compiled FREP replay with
-  /// no outstanding FP memory traffic or integer writebacks — the fused
+  // --- Fused-executor seams (core/compile.hpp) -----------------------------
+  /// True iff the sequencer is in steady-state FREP replay with no
+  /// outstanding FP memory traffic or integer writebacks — the fused
   /// executor's precondition (its tick must see this subsystem change
   /// only through the replay branch).
   bool fused_replay_ready() const {
-    return frep_.active && !frep_.capturing && frep_mops_ != nullptr &&
-           lsu_outstanding_ == 0 && int_wb_.empty();
+    return frep_.active && !frep_.capturing && lsu_outstanding_ == 0 &&
+           int_wb_.empty();
   }
 
   /// Whether the last tick made progress (the fused executor's next_event
@@ -153,25 +183,18 @@ class Fpss {
   /// preconditions).
   bool advanced_last_tick() const { return advanced_; }
 
-  /// Gather the FP source register fields of an instruction (shared with
-  /// the compiled tier's micro-op lowering).
-  static unsigned fp_src_regs(const isa::Inst& inst, std::uint8_t out[3]);
-
  private:
   struct FrepState {
     bool active = false;
     bool capturing = false;
-    std::vector<isa::Inst> buffer;
+    std::vector<isa::Inst> buffer;  ///< captured body, offload order
     unsigned n_insts = 0;
     std::uint64_t total_iters = 0;
     std::uint64_t iter = 0;  ///< current iteration (0-based)
-    unsigned pos = 0;        ///< position within the buffer
+    unsigned pos = 0;        ///< position within the body
     unsigned stagger_max = 0;
     unsigned stagger_mask = 0;
   };
-
-  /// Apply FREP register staggering for the given iteration.
-  isa::Inst staggered(const isa::Inst& inst, std::uint64_t iter) const;
 
   bool scoreboard_busy(unsigned reg, cycle_t now) const {
     return load_pending_[reg] || busy_until_[reg] > now;
@@ -185,14 +208,15 @@ class Fpss {
     }
   }
 
-  /// Try to issue `inst` this cycle; returns true on success.
-  bool try_issue(const isa::Inst& inst, std::uint64_t int_operand,
-                 cycle_t now);
+  /// Issue `m` this cycle if its operands, the FP LSU and the iterative
+  /// unit allow; returns true on success. `int_operand` is the value the
+  /// core captured at offload (0 in FREP replay).
+  bool issue(const FpssMicroOp& m, std::uint64_t int_operand, cycle_t now);
 
-  /// Compiled FREP replay: issue one pre-lowered micro-op. Reproduces
-  /// try_issue(m.inst, 0, now) exactly — natively for the FP->FP datapath
-  /// class, by delegation otherwise.
-  bool issue_mop(const FpssMicroOp& m, cycle_t now);
+  /// Capture end: point replay at the rows of the captured body, lowering
+  /// them first unless the previous capture had the same body and
+  /// stagger.
+  void arm_replay();
 
   FpssParams params_;
   ssr::Streamer& streamer_;
@@ -204,18 +228,20 @@ class Fpss {
   cycle_t iterative_busy_until_ = 0;
   cycle_t last_completion_ = 0;  ///< max over scheduled writebacks
 
+  const CompiledProgram* program_;
   RingQueue<OffloadEntry> queue_;
   FrepState frep_;
-  // Compiled-tier replay state for the active FREP: candidate body looked
-  // up at setup, micro-op table armed once the capture validates.
-  const CompiledProgram* compiled_ = nullptr;
-  const CompiledFrep* frep_src_ = nullptr;
-  const FpssMicroOp* frep_mops_ = nullptr;
-  unsigned frep_period_ = 1;
-  // Current stagger row: frep_mops_ + (iter % period) * n_insts, advanced
-  // incrementally at each iteration wrap (replay indexes it per issue).
+  // FREP replay table: `period` rows of n_insts micro-ops, row r holding
+  // the captured body with stagger offset r applied (period = stagger_max
+  // + 1 when staggering, else 1). rows_body_/rows_period_/rows_mask_
+  // record what the rows were lowered from.
+  std::vector<FpssMicroOp> rows_;
+  std::vector<isa::Inst> rows_body_;
+  unsigned rows_period_ = 0;
+  unsigned rows_mask_ = 0;
+  /// Row of the current iteration, rows_ + (iter % period) * n_insts,
+  /// advanced at each iteration wrap.
   const FpssMicroOp* frep_row_ = nullptr;
-  const FpssMicroOp* frep_row_end_ = nullptr;  ///< mops + period * n_insts
   unsigned lsu_outstanding_ = 0;
   bool advanced_ = false;            ///< last tick issued or popped
   cycle_t self_wake_ = kCycleNever;  ///< earliest internal stall expiry

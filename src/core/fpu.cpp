@@ -26,6 +26,36 @@ bool fpu_is_iterative(Op op) {
   return op == Op::kFdivD || op == Op::kFsqrtD;
 }
 
+namespace {
+
+constexpr std::uint64_t kQuietBit = 0x0008'0000'0000'0000ull;
+
+double quiet(double nan) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(nan) | kQuietBit);
+}
+
+/// fmin.d / fmax.d as this model defines them: x86-64 libm fmin/fmax
+/// applied to (b, a). Equal operands (+0.0 and -0.0) yield a; one NaN
+/// yields the other operand, or the NaN quieted if it is signaling; two
+/// NaNs yield b quieted. (RISC-V orders -0.0 below +0.0 and returns the
+/// canonical NaN for two NaNs; the model keeps its own rule.) Spelled out
+/// because std::fmin/fmax leave signed-zero ties unspecified, so their
+/// result would depend on how the compiler orders the call's arguments.
+double min_max(double a, double b, bool is_max) {
+  const bool a_nan = std::isnan(a);
+  const bool b_nan = std::isnan(b);
+  if (!a_nan && !b_nan) {
+    if (is_max) return b > a ? b : a;
+    return b < a ? b : a;
+  }
+  if (a_nan && b_nan) return quiet(b);
+  const double nan = a_nan ? a : b;
+  if ((std::bit_cast<std::uint64_t>(nan) & kQuietBit) == 0) return quiet(nan);
+  return a_nan ? b : a;
+}
+
+}  // namespace
+
 double fpu_compute(Op op, double a, double b, double c) {
   switch (op) {
     case Op::kFmaddD: return std::fma(a, b, c);
@@ -44,10 +74,8 @@ double fpu_compute(Op op, double a, double b, double c) {
       const auto sb = std::bit_cast<std::uint64_t>(b);
       return std::bit_cast<double>(sa ^ (sb & 0x8000'0000'0000'0000ull));
     }
-    case Op::kFminD:
-      // RISC-V fmin: -0.0 < +0.0; NaN handling simplified to std::fmin.
-      return std::fmin(a, b);
-    case Op::kFmaxD: return std::fmax(a, b);
+    case Op::kFminD: return min_max(a, b, /*is_max=*/false);
+    case Op::kFmaxD: return min_max(a, b, /*is_max=*/true);
     default:
       assert(false && "not an FP->FP op");
       return 0.0;

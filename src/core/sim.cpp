@@ -18,14 +18,13 @@ CcSim::CcSim(const CcSimConfig& config)
   if (config_.arena != nullptr) memory_->store().set_arena(config_.arena);
 }
 
-void CcSim::set_program(isa::Program program) {
-  set_program(std::make_shared<const isa::Program>(std::move(program)));
+void CcSim::set_program(const isa::Program& program) {
+  set_program(std::make_shared<const CompiledProgram>(program));
 }
 
-void CcSim::set_program(std::shared_ptr<const isa::Program> program) {
-  assert(program && "set_program requires a program image");
-  program_ = std::move(program);
-  compiled_.reset();  // a cached translation belongs to the old program
+void CcSim::set_program(std::shared_ptr<const CompiledProgram> translation) {
+  assert(translation && "set_program requires a program");
+  program_ = std::move(translation);
   mem::MemPort* idx_port =
       config_.cc.streamer.issr_lane.dedicated_idx_port ? &memory_->port(2)
                                                        : nullptr;
@@ -79,18 +78,11 @@ void CcSim::attach_trace(trace::TraceSink& sink) {
 
 CcSimResult CcSim::run(cycle_t max_cycles) {
   assert(cc_ && "set_program() must be called before run()");
-  // Compiled tier (core/compile.hpp): pre-decoded dispatch in the core,
-  // precompiled FREP replay in the FPU subsystem, and — when untraced on
-  // the two-port topology — the fused steady-state tick. All exact.
+  // The fused executor (core/compile.hpp) runs untraced: a trace sink
+  // needs every unit's per-cycle events. It fuses only on the two-port
+  // topology (CompiledExec's own gate). Exact either way.
   std::optional<CompiledExec> exec;
-  if (config_.compiled) {
-    if (!compiled_) {
-      compiled_ = std::make_shared<const CompiledProgram>(*program_);
-    }
-    cc_->core().set_compiled(compiled_.get());
-    cc_->fpss().set_compiled(compiled_.get());
-    if (trace_sink_ == nullptr) exec.emplace(*cc_, *memory_, *compiled_);
-  }
+  if (trace_sink_ == nullptr) exec.emplace(*cc_, *memory_);
   CompiledExec* const cx = exec ? &*exec : nullptr;
   // Idle-cycle fast-forward (run_engine in core/engine.hpp): when every
   // unit reports no event before a future horizon — memory response
@@ -103,21 +95,21 @@ CcSimResult CcSim::run(cycle_t max_cycles) {
     void tick(cycle_t now) {
       if (cx != nullptr) {
         if (cx->try_tick(now)) return;
-        cx->before_interpreted_tick();
+        cx->before_unfused_tick();
       }
       s.memory_->tick(now);
       s.cc_->tick(now);
     }
     /// Engine loop-top hook: burst through consecutive fused cycles
     /// without returning for the per-cycle done()/next_event() scans.
-    /// The skipped checks are exactly those an interpreted run answers
+    /// The skipped checks are exactly those an unfused run answers
     /// trivially: the core cannot halt inside a fused cycle (so done()
     /// stays false) and every burst-internal cycle made progress (so the
     /// horizon would have been `now`). The burst hands back to the
     /// engine at the first no-progress cycle — with every per-unit
     /// next_event hook exact and the bypass slots empty, the ordinary
     /// fast-forward and watchdog logic proceed unchanged — and at the
-    /// cycle budget, and falls through to one interpreted tick when the
+    /// cycle budget, and falls through to one unfused tick when the
     /// fused preconditions fail.
     cycle_t tick_span(cycle_t now, cycle_t limit) {
       if (cx != nullptr) {
@@ -126,8 +118,8 @@ CcSimResult CcSim::run(cycle_t max_cycles) {
         if (n != now && !cx->fused_advanced()) {
           return n;  // no-progress cycle ran: engine scans
         }
-        // Seam (possibly after fused progress): one interpreted tick.
-        cx->before_interpreted_tick();
+        // Seam (possibly after fused progress): one unfused tick.
+        cx->before_unfused_tick();
         now = n;
       }
       s.memory_->tick(now);
@@ -153,7 +145,7 @@ CcSimResult CcSim::run(cycle_t max_cycles) {
       run_engine(Units{*this, cx}, max_cycles, config_.fast_forward);
   const cycle_t now = er.cycles;
   // A run can stop with a lane's final bypassed store still undelivered;
-  // materialize it so the port drain below serves it (the interpreted
+  // materialize it so the port drain below serves it (the unfused
   // path has the same final-cycle store pending at the port).
   if (cx != nullptr) cx->flush();
   CcSimResult result;

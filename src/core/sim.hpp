@@ -33,13 +33,6 @@ struct CcSimConfig {
   /// core/engine.hpp). Defaults from the process-wide engine option so
   /// --no-fast-forward reaches every construction site.
   bool fast_forward = engine_fast_forward_default();
-  /// Use the compiled-execution tier (core/compile.hpp): pre-decoded
-  /// dispatch, precompiled FREP replay, and the fused steady-state tick.
-  /// Exact: identical cycles, counters, buckets, traces, and results
-  /// either way (tests/test_compiled_diff.cpp fuzzes the equivalence).
-  /// Defaults from the process-wide engine option so --no-compiled
-  /// reaches every construction site.
-  bool compiled = engine_compiled_default();
   /// When non-null, simulated-memory pages come from this arena instead
   /// of the heap (see common/arena.hpp; purely observational — simulated
   /// behaviour is identical). The arena must outlive the sim and must
@@ -89,18 +82,12 @@ class CcSim {
  public:
   explicit CcSim(const CcSimConfig& config = {});
 
-  /// Load the program image (must be called before run()).
-  void set_program(isa::Program program);
-  /// Share an already-assembled image (the driver's asset cache reuses
-  /// one decoded program across every rep/run with identical staging).
-  void set_program(std::shared_ptr<const isa::Program> program);
-
-  /// Share an already-built compiled translation of the program (the
-  /// driver's asset cache stores one per program alongside the image).
-  /// Optional: run() builds one on demand when the compiled tier is on.
-  void set_compiled_program(std::shared_ptr<const CompiledProgram> cp) {
-    compiled_ = std::move(cp);
-  }
+  /// Load a program, translating it for the core (core/compile.hpp).
+  /// One of the two must be called before run().
+  void set_program(const isa::Program& program);
+  /// Load an already-built translation (the driver's asset cache shares
+  /// one per program across every rep/run with identical staging).
+  void set_program(std::shared_ptr<const CompiledProgram> translation);
 
   mem::BackingStore& mem() { return memory_->store(); }
   const CcSimConfig& config() const { return config_; }
@@ -137,8 +124,7 @@ class CcSim {
  private:
   CcSimConfig config_;
   std::unique_ptr<mem::IdealMemory> memory_;
-  std::shared_ptr<const isa::Program> program_;
-  std::shared_ptr<const CompiledProgram> compiled_;
+  std::shared_ptr<const CompiledProgram> program_;
   std::unique_ptr<CoreComplex> cc_;
   addr_t alloc_cursor_;
   /// Sink from attach_trace (null when untraced): run() emits one

@@ -13,24 +13,20 @@ using isa::Op;
 
 namespace {
 
-/// Load-response extension kinds, packed into the request tag next to rd.
-enum ExtKind : std::uint32_t {
-  kExtS8 = 0, kExtU8, kExtS16, kExtU16, kExtS32, kExtU32, kExt64,
-};
-
-std::uint32_t load_tag(unsigned rd, ExtKind ext) {
-  return static_cast<std::uint32_t>(rd) | (static_cast<std::uint32_t>(ext) << 5);
+std::uint32_t load_tag(unsigned rd, LoadExt ext) {
+  return static_cast<std::uint32_t>(rd) |
+         (static_cast<std::uint32_t>(ext) << 5);
 }
 
-std::uint64_t extend_load(std::uint64_t raw, ExtKind ext) {
+std::uint64_t extend_load(std::uint64_t raw, LoadExt ext) {
   switch (ext) {
-    case kExtS8: return static_cast<std::uint64_t>(sign_extend(raw, 8));
-    case kExtU8: return raw & 0xffull;
-    case kExtS16: return static_cast<std::uint64_t>(sign_extend(raw, 16));
-    case kExtU16: return raw & 0xffffull;
-    case kExtS32: return static_cast<std::uint64_t>(sign_extend(raw, 32));
-    case kExtU32: return raw & 0xffffffffull;
-    case kExt64: return raw;
+    case LoadExt::kS8: return static_cast<std::uint64_t>(sign_extend(raw, 8));
+    case LoadExt::kU8: return raw & 0xffull;
+    case LoadExt::kS16: return static_cast<std::uint64_t>(sign_extend(raw, 16));
+    case LoadExt::kU16: return raw & 0xffffull;
+    case LoadExt::kS32: return static_cast<std::uint64_t>(sign_extend(raw, 32));
+    case LoadExt::kU32: return raw & 0xffffffffull;
+    case LoadExt::k64: return raw;
   }
   return raw;
 }
@@ -38,7 +34,7 @@ std::uint64_t extend_load(std::uint64_t raw, ExtKind ext) {
 }  // namespace
 
 SnitchCore::SnitchCore(const SnitchParams& params,
-                       const isa::Program& program, Fpss& fpss,
+                       const CompiledProgram& program, Fpss& fpss,
                        ssr::Streamer& streamer, ssr::PortClient lsu_port)
     : params_(params),
       program_(program),
@@ -57,7 +53,7 @@ void SnitchCore::tick(cycle_t now) {
   mem::MemRsp rsp;
   while (lsu_.pop_response(rsp)) {
     const unsigned rd = rsp.id & 31;
-    const auto ext = static_cast<ExtKind>(rsp.id >> 5);
+    const auto ext = static_cast<LoadExt>(rsp.id >> 5);
     assert(load_pending_[rd]);
     load_pending_[rd] = false;
     if (rd != 0) xregs_[rd] = extend_load(rsp.rdata, ext);
@@ -79,275 +75,13 @@ void SnitchCore::tick(cycle_t now) {
     self_wake_ = std::min(self_wake_, stall_until_);
     return;
   }
-  if (compiled_ != nullptr) {
-    if (issue_compiled(compiled_->decoded(pc_), now)) {
-      ++stats_.issued;
-      advanced_ = true;
-    }
-    return;
-  }
-  const Inst& inst = program_.fetch(pc_);
-  if (issue(inst, now)) {
+  if (issue(program_.decoded(pc_), now)) {
     ++stats_.issued;
     advanced_ = true;
   }
 }
 
-bool SnitchCore::issue(const Inst& inst, cycle_t now) {
-  const Op op = inst.op;
-
-  // --- FPU-subsystem instructions: capture int operands and offload. -----
-  if (op_is_fpss(op)) {
-    // Integer operand dependencies.
-    std::uint64_t int_operand = 0;
-    switch (op) {
-      case Op::kFld: case Op::kFsd: {
-        if (xreg_busy(inst.rs1, now)) {
-          note_reg_wait(inst.rs1, now);
-          ++stats_.stall_raw;
-          return false;
-        }
-        int_operand = xregs_[inst.rs1] + static_cast<std::uint64_t>(
-                                             static_cast<std::int64_t>(inst.imm));
-        break;
-      }
-      case Op::kFrep: case Op::kFcvtDW: case Op::kFcvtDWu: case Op::kFmvDX: {
-        if (xreg_busy(inst.rs1, now)) {
-          note_reg_wait(inst.rs1, now);
-          ++stats_.stall_raw;
-          return false;
-        }
-        int_operand = xregs_[inst.rs1];
-        break;
-      }
-      default:
-        break;
-    }
-    // FP->int results write an integer register; reserve it.
-    if (op_fp_to_int(op) && xreg_busy(inst.rd, now)) {
-      note_reg_wait(inst.rd, now);
-      ++stats_.stall_raw;
-      return false;
-    }
-    if (!fpss_.can_offload()) {
-      ++stats_.stall_offload;
-      return false;
-    }
-    if (op_fp_to_int(op) && inst.rd != 0) fpss_pending_[inst.rd] = true;
-    fpss_.offload({inst, int_operand, pc_});
-    ++stats_.offloads;
-    pc_ += 4;
-    return true;
-  }
-
-  // --- Integer pipeline. ---------------------------------------------------
-  // Source hazards.
-  const bool uses_rs1 =
-      !(op == Op::kLui || op == Op::kAuipc || op == Op::kJal ||
-        op == Op::kEcall || op == Op::kEbreak || op == Op::kFence ||
-        op == Op::kCsrrwi || op == Op::kCsrrsi || op == Op::kCsrrci);
-  const bool uses_rs2 =
-      op_is_branch(op) || (op_is_store(op) && op != Op::kFsd) ||
-      (op >= Op::kAdd && op <= Op::kAnd) || (op >= Op::kMul && op <= Op::kRemu);
-  if (uses_rs1 && xreg_busy(inst.rs1, now)) {
-    note_reg_wait(inst.rs1, now);
-    ++stats_.stall_raw;
-    return false;
-  }
-  if (uses_rs2 && xreg_busy(inst.rs2, now)) {
-    note_reg_wait(inst.rs2, now);
-    ++stats_.stall_raw;
-    return false;
-  }
-
-  const std::uint64_t a = xregs_[inst.rs1];
-  const std::uint64_t b = xregs_[inst.rs2];
-  const auto imm = static_cast<std::int64_t>(inst.imm);
-  auto write_rd = [&](std::uint64_t v) { set_xreg(inst.rd, v); };
-
-  switch (op) {
-    case Op::kLui:
-      write_rd(static_cast<std::uint64_t>(imm));
-      break;
-    case Op::kAuipc:
-      write_rd(pc_ + static_cast<std::uint64_t>(imm));
-      break;
-    case Op::kJal: {
-      write_rd(pc_ + 4);
-      pc_ += static_cast<std::uint64_t>(imm);
-      stall_until_ = now + 1 + params_.branch_penalty;
-      ++stats_.branches;
-      ++stats_.taken_branches;
-      return true;
-    }
-    case Op::kJalr: {
-      const addr_t target = (a + static_cast<std::uint64_t>(imm)) & ~1ull;
-      write_rd(pc_ + 4);
-      pc_ = target;
-      stall_until_ = now + 1 + params_.branch_penalty;
-      ++stats_.branches;
-      ++stats_.taken_branches;
-      return true;
-    }
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu: {
-      bool taken = false;
-      switch (op) {
-        case Op::kBeq: taken = a == b; break;
-        case Op::kBne: taken = a != b; break;
-        case Op::kBlt:
-          taken = static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
-          break;
-        case Op::kBge:
-          taken = static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b);
-          break;
-        case Op::kBltu: taken = a < b; break;
-        case Op::kBgeu: taken = a >= b; break;
-        default: break;
-      }
-      ++stats_.branches;
-      if (taken) {
-        ++stats_.taken_branches;
-        pc_ += static_cast<std::uint64_t>(imm);
-        if (params_.branch_penalty > 0) {
-          stall_until_ = now + 1 + params_.branch_penalty;
-        }
-      } else {
-        pc_ += 4;
-      }
-      return true;
-    }
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu: {
-      if (loads_outstanding_ >= params_.max_outstanding_loads ||
-          xreg_busy(inst.rd, now) || !lsu_.can_request()) {
-        note_reg_wait(inst.rd, now);
-        ++stats_.stall_mem;
-        return false;
-      }
-      mem::MemReq req;
-      req.addr = a + static_cast<std::uint64_t>(imm);
-      ExtKind ext = kExt64;
-      switch (op) {
-        case Op::kLb: req.bytes = 1; ext = kExtS8; break;
-        case Op::kLbu: req.bytes = 1; ext = kExtU8; break;
-        case Op::kLh: req.bytes = 2; ext = kExtS16; break;
-        case Op::kLhu: req.bytes = 2; ext = kExtU16; break;
-        case Op::kLw: req.bytes = 4; ext = kExtS32; break;
-        case Op::kLwu: req.bytes = 4; ext = kExtU32; break;
-        default: req.bytes = 8; ext = kExt64; break;
-      }
-      lsu_.request(req, load_tag(inst.rd, ext));
-      if (inst.rd != 0) load_pending_[inst.rd] = true;
-      ++loads_outstanding_;
-      ++stats_.loads;
-      break;
-    }
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: {
-      if (!lsu_.can_request()) {
-        ++stats_.stall_mem;
-        return false;
-      }
-      mem::MemReq req;
-      req.addr = a + static_cast<std::uint64_t>(imm);
-      req.is_write = true;
-      req.wdata = b;
-      req.bytes = op == Op::kSb ? 1 : op == Op::kSh ? 2 : op == Op::kSw ? 4 : 8;
-      lsu_.request(req, 0);
-      ++stats_.stores;
-      break;
-    }
-    case Op::kAddi: write_rd(a + static_cast<std::uint64_t>(imm)); break;
-    case Op::kSlti:
-      write_rd(static_cast<std::int64_t>(a) < imm ? 1 : 0);
-      break;
-    case Op::kSltiu:
-      write_rd(a < static_cast<std::uint64_t>(imm) ? 1 : 0);
-      break;
-    case Op::kXori: write_rd(a ^ static_cast<std::uint64_t>(imm)); break;
-    case Op::kOri: write_rd(a | static_cast<std::uint64_t>(imm)); break;
-    case Op::kAndi: write_rd(a & static_cast<std::uint64_t>(imm)); break;
-    case Op::kSlli: write_rd(a << (inst.imm & 63)); break;
-    case Op::kSrli: write_rd(a >> (inst.imm & 63)); break;
-    case Op::kSrai:
-      write_rd(static_cast<std::uint64_t>(static_cast<std::int64_t>(a) >>
-                                          (inst.imm & 63)));
-      break;
-    case Op::kAdd: write_rd(a + b); break;
-    case Op::kSub: write_rd(a - b); break;
-    case Op::kSll: write_rd(a << (b & 63)); break;
-    case Op::kSlt:
-      write_rd(static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b)
-                   ? 1 : 0);
-      break;
-    case Op::kSltu: write_rd(a < b ? 1 : 0); break;
-    case Op::kXor: write_rd(a ^ b); break;
-    case Op::kSrl: write_rd(a >> (b & 63)); break;
-    case Op::kSra:
-      write_rd(static_cast<std::uint64_t>(static_cast<std::int64_t>(a) >>
-                                          (b & 63)));
-      break;
-    case Op::kOr: write_rd(a | b); break;
-    case Op::kAnd: write_rd(a & b); break;
-    case Op::kMul:
-      write_rd(a * b);
-      if (inst.rd != 0) busy_until_[inst.rd] = now + params_.mul_latency;
-      break;
-    case Op::kMulh: {
-      const auto result = static_cast<std::uint64_t>(
-          (static_cast<__int128>(static_cast<std::int64_t>(a)) *
-           static_cast<__int128>(static_cast<std::int64_t>(b))) >>
-          64);
-      write_rd(result);
-      if (inst.rd != 0) busy_until_[inst.rd] = now + params_.mul_latency;
-      break;
-    }
-    case Op::kDiv:
-      write_rd(b == 0 ? ~0ull
-                      : static_cast<std::uint64_t>(
-                            static_cast<std::int64_t>(a) /
-                            static_cast<std::int64_t>(b)));
-      if (inst.rd != 0) busy_until_[inst.rd] = now + params_.div_latency;
-      break;
-    case Op::kDivu:
-      write_rd(b == 0 ? ~0ull : a / b);
-      if (inst.rd != 0) busy_until_[inst.rd] = now + params_.div_latency;
-      break;
-    case Op::kRem:
-      write_rd(b == 0 ? a
-                      : static_cast<std::uint64_t>(
-                            static_cast<std::int64_t>(a) %
-                            static_cast<std::int64_t>(b)));
-      if (inst.rd != 0) busy_until_[inst.rd] = now + params_.div_latency;
-      break;
-    case Op::kRemu:
-      write_rd(b == 0 ? a : a % b);
-      if (inst.rd != 0) busy_until_[inst.rd] = now + params_.div_latency;
-      break;
-    case Op::kFence:
-      break;  // single memory system: no-op
-    case Op::kEcall:
-      halted_ = true;
-      trace_.instant(now, "halt", pc_);
-      pc_ += 4;
-      return true;
-    case Op::kEbreak:
-      halted_ = true;
-      trace_.instant(now, "halt", pc_);
-      pc_ += 4;
-      return true;
-    case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
-    case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
-      return exec_csr(inst, now);
-    default:
-      assert(false && "unhandled opcode in integer pipeline");
-      return false;
-  }
-  pc_ += 4;
-  return true;
-}
-
-bool SnitchCore::issue_compiled(const DecodedInst& d, cycle_t now) {
+bool SnitchCore::issue(const DecodedInst& d, cycle_t now) {
   const Inst& inst = d.inst;
   switch (d.cls) {
     case ExecClass::kFpss: {
@@ -391,8 +125,8 @@ bool SnitchCore::issue_compiled(const DecodedInst& d, cycle_t now) {
         return false;
       }
       set_xreg(inst.rd,
-               compiled_alu_eval(inst.op, xregs_[inst.rs1], xregs_[inst.rs2],
-                                 static_cast<std::int64_t>(inst.imm), pc_));
+               alu_eval(inst.op, xregs_[inst.rs1], xregs_[inst.rs2],
+                        static_cast<std::int64_t>(inst.imm), pc_));
       if (d.wb_latency_kind != 0 && inst.rd != 0) {
         busy_until_[inst.rd] =
             now + (d.wb_latency_kind == 1 ? params_.mul_latency
@@ -413,7 +147,7 @@ bool SnitchCore::issue_compiled(const DecodedInst& d, cycle_t now) {
         return false;
       }
       ++stats_.branches;
-      if (compiled_branch_taken(inst.op, xregs_[inst.rs1], xregs_[inst.rs2])) {
+      if (branch_taken(inst.op, xregs_[inst.rs1], xregs_[inst.rs2])) {
         ++stats_.taken_branches;
         pc_ += static_cast<std::uint64_t>(static_cast<std::int64_t>(inst.imm));
         if (params_.branch_penalty > 0) {
@@ -465,8 +199,7 @@ bool SnitchCore::issue_compiled(const DecodedInst& d, cycle_t now) {
       req.addr = xregs_[inst.rs1] +
                  static_cast<std::uint64_t>(static_cast<std::int64_t>(inst.imm));
       req.bytes = d.load_bytes;
-      lsu_.request(req,
-                   load_tag(inst.rd, static_cast<ExtKind>(d.load_ext)));
+      lsu_.request(req, load_tag(inst.rd, d.load_ext));
       if (inst.rd != 0) load_pending_[inst.rd] = true;
       ++loads_outstanding_;
       ++stats_.loads;
@@ -499,14 +232,8 @@ bool SnitchCore::issue_compiled(const DecodedInst& d, cycle_t now) {
       pc_ += 4;
       return true;
     }
-    case ExecClass::kCsr: {
-      if ((d.flags & kDUsesRs1) && xreg_busy(inst.rs1, now)) {
-        note_reg_wait(inst.rs1, now);
-        ++stats_.stall_raw;
-        return false;
-      }
+    case ExecClass::kCsr:
       return exec_csr(inst, now);
-    }
     case ExecClass::kHalt:
       halted_ = true;
       trace_.instant(now, "halt", pc_);
@@ -515,25 +242,25 @@ bool SnitchCore::issue_compiled(const DecodedInst& d, cycle_t now) {
     case ExecClass::kFence:
       pc_ += 4;
       return true;
-    case ExecClass::kFallback:
-      return issue(inst, now);
+    case ExecClass::kInvalid:
+      break;
   }
-  assert(false && "unhandled compiled dispatch class");
+  assert(false && "invalid instruction");
   return false;
 }
 
-FusedGate SnitchCore::fused_gate(const CompiledProgram& cp, cycle_t now) const {
+FusedGate SnitchCore::fused_gate(cycle_t now) const {
   // Outstanding loads do not force a seam: fused cycles tick the hubs at
-  // the interpreted point, so the response routes and writes back through
-  // the real tick() exactly as interpreted. Only halt (the engine must
-  // see the halting tick interpreted so the burst stops at done()), the
-  // barrier CSR (its callback and stall_barrier accounting live outside
-  // the fused observation), and cold opcodes fall back.
+  // the per-cycle point, so the response routes and writes back through
+  // the real tick() exactly as unfused. Only halt (the engine must see
+  // the halting tick unfused so the burst stops at done()), the barrier
+  // CSR (its callback and stall_barrier accounting live outside the fused
+  // observation), and invalid instructions leave the cycle unfused.
   if (halted_) return FusedGate::kSeam;
   if (stall_until_ > now) return FusedGate::kTick;  // redirect bubble
   const std::size_t idx = (pc_ - isa::Program::kBaseAddr) / 4;
-  if (idx >= cp.size()) return FusedGate::kSeam;  // oob fetch: issue() traps
-  const DecodedInst& d = cp.decoded(pc_);
+  if (idx >= program_.size()) return FusedGate::kSeam;  // oob fetch: traps
+  const DecodedInst& d = program_.decoded(pc_);
   switch (d.cls) {
     case ExecClass::kAlu:
     case ExecClass::kBranch:
@@ -555,7 +282,7 @@ FusedGate SnitchCore::fused_gate(const CompiledProgram& cp, cycle_t now) const {
       }
       return FusedGate::kTick;
     case ExecClass::kHalt:
-    case ExecClass::kFallback:
+    case ExecClass::kInvalid:
       return FusedGate::kSeam;
   }
   return FusedGate::kSeam;

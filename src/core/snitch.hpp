@@ -32,7 +32,7 @@ struct DecodedInst;
 /// (SnitchCore::fused_gate): run the real tick inside a fused cycle,
 /// run the specialized parked tick (core blocked at the fpss-sync CSR
 /// with every hazard clear — pending only the FPSS-side check the
-/// caller owns), or fall back to an interpreted tick (seam).
+/// caller owns), or leave the cycle to an unfused tick (seam).
 enum class FusedGate : std::uint8_t { kSeam, kTick, kParked };
 
 struct SnitchParams {
@@ -76,7 +76,9 @@ class SnitchCore {
   /// read; it returns true once the core may proceed.
   using BarrierHook = std::function<bool(std::uint32_t hartid)>;
 
-  SnitchCore(const SnitchParams& params, const isa::Program& program,
+  /// `program` is the translation of the program the core runs
+  /// (core/compile.hpp); it must outlive the core.
+  SnitchCore(const SnitchParams& params, const CompiledProgram& program,
              Fpss& fpss, ssr::Streamer& streamer, ssr::PortClient lsu_port);
 
   void set_barrier_hook(BarrierHook hook) { barrier_ = std::move(hook); }
@@ -114,23 +116,18 @@ class SnitchCore {
   /// Timeline hook: barrier-wait slices and a halt marker (trace/).
   trace::Tracer& tracer() { return trace_; }
 
-  // --- Compiled-tier seams (core/compile.hpp) ------------------------------
-  /// Dispatch through pre-decoded instructions instead of re-classifying
-  /// each fetch. The interpreter's issue() is untouched and remains the
-  /// fallback for cold instruction classes; nullptr restores it fully.
-  void set_compiled(const CompiledProgram* cp) { compiled_ = cp; }
-
+  // --- Fused-executor seams (core/compile.hpp) -----------------------------
   /// Fused-executor gate, evaluated once per fused cycle. kSeam when the
   /// core is halted (the burst loop defers quiescence checks; the engine
-  /// must see the halting tick interpreted), fetching out of program
-  /// bounds, or at a barrier CSR / cold fallback opcode. kParked when
+  /// must see the halting tick unfused), fetching out of program bounds,
+  /// or at a barrier CSR, halt or invalid instruction. kParked when
   /// the core is blocked at the fpss-sync CSR with every core-side
   /// hazard clear, so its whole tick is exactly {++cycles, ++stall_sync}
   /// while the FPU subsystem drains (the caller still owns the FPSS-side
   /// replay check). kTick otherwise: loads (issue and response writeback
   /// — fused cycles tick the hubs), stores, branches, ALU ops, offloads,
   /// every non-barrier CSR, and redirect bubbles all tick natively.
-  FusedGate fused_gate(const CompiledProgram& cp, cycle_t now) const;
+  FusedGate fused_gate(cycle_t now) const;
 
   /// Whether the last tick made progress (the fused executor's
   /// next_event shortcut; identical to next_event(now) == now).
@@ -172,19 +169,14 @@ class SnitchCore {
     }
   }
 
-  /// Execute the instruction at pc_ if all hazards clear; returns true if
-  /// it issued (pc advanced).
-  bool issue(const isa::Inst& inst, cycle_t now);
-
-  /// Compiled dispatch: same contract as issue(), driven by the
-  /// pre-decoded record (falls back to issue()/exec_csr for cold classes).
-  bool issue_compiled(const DecodedInst& d, cycle_t now);
+  /// Execute the instruction at pc_ (its pre-decoded record `d`) if all
+  /// hazards clear; returns true if it issued.
+  bool issue(const DecodedInst& d, cycle_t now);
 
   bool exec_csr(const isa::Inst& inst, cycle_t now);
 
   SnitchParams params_;
-  const isa::Program& program_;
-  const CompiledProgram* compiled_ = nullptr;
+  const CompiledProgram& program_;
   Fpss& fpss_;
   ssr::Streamer& streamer_;
   ssr::PortClient lsu_;

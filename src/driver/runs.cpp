@@ -40,20 +40,17 @@ class ProgramKey {
 };
 
 /// Assemble (or fetch the shared copy of) a single-CC program and load
-/// it into `sim`. With the compiled tier on, the translation is fetched
-/// from the same cache under the provenance-qualified key so workers
-/// decode each distinct program once instead of once per rep.
+/// it into `sim`. Its translation is fetched from the same cache under
+/// the provenance-qualified key, so workers decode each distinct program
+/// once instead of once per rep.
 template <typename Build>
 void load_program(core::CcSim& sim, const RunAids& aids,
                   const ProgramKey& key, Build&& build) {
   if (aids.programs != nullptr) {
     const auto program = aids.programs->program(key.str(), build);
-    sim.set_program(program);
-    if (sim.config().compiled) {
-      sim.set_compiled_program(aids.programs->compiled(
-          compiled_program_key(key.str()),
-          [&] { return core::CompiledProgram(*program); }));
-    }
+    sim.set_program(aids.programs->compiled(
+        compiled_program_key(key.str()),
+        [&] { return core::CompiledProgram(*program); }));
   } else {
     sim.set_program(build());
   }

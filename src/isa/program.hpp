@@ -28,11 +28,6 @@ class Program {
            (pc & 3) == 0;
   }
 
-  const Inst& fetch(addr_t pc) const {
-    assert(contains_pc(pc));
-    return insts_[(pc - kBaseAddr) / 4];
-  }
-
   insn_word_t word_at(addr_t pc) const {
     assert(contains_pc(pc));
     return words_[(pc - kBaseAddr) / 4];

@@ -380,7 +380,7 @@ void Lane::tick(cycle_t now) {
 }
 
 // Phase 1a of the fused ticks: deliver the bypassed request issued in
-// the previous fused cycle — the moment the interpreted path would have
+// the previous fused cycle — the moment the unfused path would have
 // served it (this cycle's memory tick, which the caller has just run;
 // latency <= 1, so a read's response matures and routes in the same
 // cycle). Stores commit silently, exactly like MemPort::serve_pending,
@@ -440,7 +440,7 @@ void Lane::tick_fused(cycle_t now, mem::MemPort& port,
   deliver_bypass(port, store);
 
   // 1b. Seam crossing: drain responses to requests this lane issued
-  //     through the real port (a preceding interpreted cycle, or a
+  //     through the real port (a preceding unfused cycle, or a
   //     materialized slot). The hubs tick in fused cycles too, so these
   //     arrive through the client queue exactly as in tick(). Mutually
   //     exclusive with a full bypass slot: the slot only fills when the
@@ -464,7 +464,7 @@ void Lane::tick_fused(cycle_t now, mem::MemPort& port,
 
   // 3. Port mux. The gate stays on the real port, so a core/FP-LSU
   //    request that claimed the shared port this cycle defers the lane
-  //    exactly as in the interpreted path.
+  //    exactly as in the unfused path.
   if (active_ && port_.can_request()) fused_mux();
 
   finish_if_done();

@@ -145,7 +145,7 @@ class Lane {
   void tick_parked(cycle_t now, mem::MemPort& port, mem::BackingStore& store);
 
   /// Replay a still-undelivered bypassed request through the real port —
-  /// the fused executor calls this at every fused-to-interpreted seam
+  /// the fused executor calls this at every fused-to-unfused seam
   /// (and once after the run), so the request is served by the next
   /// memory tick and routed by the hub exactly as if it had been issued
   /// through the port in the first place.
@@ -208,7 +208,7 @@ class Lane {
   void issue_idx_fetch();
   void issue_data_access();
   /// Fused-tick issue paths: same address generation, credit accounting,
-  /// and statistics as the interpreted versions, but the request lands in
+  /// and statistics as the unfused versions, but the request lands in
   /// the bypass slot instead of the port (the data mover additionally
   /// specializes the affine generator for the dominant 1-D streams —
   /// identical addresses and iterator state by construction).
@@ -248,7 +248,7 @@ class Lane {
 
   // Fused-tick bypass slot: at most one lane request per cycle (the mux
   // admits one), issued here instead of into the port and delivered at
-  // the next fused tick or materialized at the next interpreted seam.
+  // the next fused tick or materialized at the next unfused seam.
   // Invariant: the slot never coexists with a pending request on the
   // lane's port (the mux gate saw the port free) and is empty whenever
   // the lane did not advance in the current cycle.

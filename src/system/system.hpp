@@ -94,9 +94,8 @@ struct SystemResult {
   /// the serial engine did). Observational and host-dependent — surfaced
   /// by --metrics / --perf-report, never serialized into result files.
   ParStats par;
-  /// Compiled translations the workers ran on: one per distinct worker
-  /// program object, 0 with the compiled tier off. Host-side, never
-  /// serialized.
+  /// Translations the workers ran on: one per distinct worker program
+  /// object. Host-side, never serialized.
   std::size_t compiled_programs = 0;
 
   /// Attribution denominator: cycles x total worker count.
@@ -138,8 +137,8 @@ class System {
   /// `programs_per_cluster` must hold `num_clusters` entries of
   /// `cluster.num_workers` worker programs each. A program object handed
   /// to several clusters (the work-stealing kernels give every cluster
-  /// the same worker images) is held once and, with the compiled tier
-  /// on, translated once for every worker that runs it.
+  /// the same worker images) is held once and translated once for every
+  /// worker that runs it.
   System(const SystemConfig& config,
          std::vector<std::vector<std::shared_ptr<const isa::Program>>>
              programs_per_cluster);

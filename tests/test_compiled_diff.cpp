@@ -1,10 +1,13 @@
-// Differential fuzz harness for the compiled-execution tier
+// Differential fuzz harness for the fused cycle executor
 // (core/compile.hpp): seeded random programs — RV32I ALU/branch/memory
 // mixes, FP blocks, FREP loops with stagger, SSR/ISSR stream jobs,
-// boundary-adjacent branches — run once compiled and once interpreted,
-// asserting bitwise-equal cycle counts, statistic counters, stall
-// buckets, register files, and memory images. Every divergence prints
-// the seed so the exact program replays under a debugger.
+// boundary-adjacent branches — run once untraced (fused wherever the
+// executor's gate allows) and once with a trace sink attached (every
+// cycle ticked unit by unit, never fused), asserting bitwise-equal cycle
+// counts, statistic counters, stall buckets, register files, and memory
+// images. Both runs must also reproduce a pinned per-seed fingerprint of
+// all of these. Every divergence prints the seed so the exact program
+// replays under a debugger.
 //
 // The generator is a pure function of the seed (common/rng.hpp xoshiro,
 // deterministic across platforms), so a CI failure line like
@@ -30,6 +33,7 @@
 #include "isa/assembler.hpp"
 #include "kernels/kargs.hpp"
 #include "sparse/fiber.hpp"
+#include "trace/ring.hpp"
 
 namespace issr::core {
 namespace {
@@ -127,8 +131,7 @@ void emit_fp_op(Rng& rng, Assembler& a) {
 }
 
 /// Ops crossing the core/FPSS boundary with an integer operand or an
-/// integer result — the compiled tier's straight-line micro-op dispatch
-/// must fall back to the generic path for these.
+/// integer result (the kFromInt and kToInt FPSS micro-op kinds).
 void emit_fp_cross_op(Rng& rng, Assembler& a) {
   const Freg f = pick_f(rng);
   const Xreg x = pick_x(rng);
@@ -263,8 +266,8 @@ void emit_stream(Rng& rng, Assembler& a, addr_t data, addr_t idcs,
   kernels::emit_sync_and_disable(a);
 }
 
-/// Everything one tier's run produced, down to register bit patterns.
-struct TierRun {
+/// Everything one run produced, down to register bit patterns.
+struct SeedRun {
   CcSimResult r;
   addr_t data = 0, idcs = 0, scratch = 0;
   std::array<std::uint64_t, 32> x{};
@@ -272,21 +275,21 @@ struct TierRun {
   std::vector<std::uint64_t> mem;
 };
 
-/// Build and run the seed's program under one tier. The generator's rng
-/// stream never depends on `compiled`, so both tiers see the identical
+/// Build and run the seed's program, traced or not. The generator's rng
+/// stream never depends on `traced`, so both runs see the identical
 /// program, staging layout, and configuration.
-TierRun run_tier(std::uint64_t seed, Profile profile, bool compiled,
-                 std::string* listing = nullptr) {
+SeedRun run_program(std::uint64_t seed, Profile profile, bool traced,
+                    std::string* listing = nullptr) {
   Rng rng(seed);
+  trace::RingBufferSink sink(1u << 12);
 
   CcSimConfig cfg;
-  cfg.compiled = compiled;
   cfg.fast_forward = rng.uniform_int(0, 3) > 0;
   const cycle_t lat[] = {1, 1, 1, 2, 4, 16};
   cfg.mem_latency = lat[rng.uniform_int(0, 5)];
   CcSim sim(cfg);
 
-  TierRun t;
+  SeedRun t;
   std::vector<double> data(kDataElems);
   for (auto& d : data) d = rng.uniform(-4.0, 4.0);
   std::vector<std::uint32_t> idcs(kIdxElems);
@@ -370,6 +373,7 @@ TierRun run_tier(std::uint64_t seed, Profile profile, bool compiled,
 
   if (listing != nullptr) *listing = a.listing();
   sim.set_program(a.assemble());
+  if (traced) sim.attach_trace(sink);
   t.r = sim.run(2'000'000);
 
   for (unsigned i = 0; i < 32; ++i) {
@@ -402,7 +406,7 @@ class Fnv1a {
 /// One word per seed over every observable run_seed compares: cycles,
 /// fault code and cycle, last pc, core/FPSS/lane counters, stall buckets,
 /// both register files and the staged memory words.
-std::uint64_t fingerprint(const TierRun& t) {
+std::uint64_t fingerprint(const SeedRun& t) {
   Fnv1a h;
   const CcSimResult& r = t.r;
   h.add(r.cycles);
@@ -443,44 +447,44 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-/// Run one seed under both tiers and demand bitwise identity of every
-/// observable, and that the run's fingerprint equals the pinned one. The
-/// seed is in every failure message for replay.
+/// Run one seed untraced and traced, demand bitwise identity of every
+/// observable, and that both fingerprints equal the pinned one. The seed
+/// is in every failure message for replay.
 void run_seed(std::uint64_t seed, Profile profile, std::uint64_t pinned) {
-  const TierRun c = run_tier(seed, profile, /*compiled=*/true);
-  const TierRun i = run_tier(seed, profile, /*compiled=*/false);
+  const SeedRun u = run_program(seed, profile, /*traced=*/false);
+  const SeedRun t = run_program(seed, profile, /*traced=*/true);
   const std::string what = "seed " + std::to_string(seed);
-  EXPECT_EQ(hex(fingerprint(c)), hex(pinned)) << what << " (compiled)";
-  EXPECT_EQ(hex(fingerprint(i)), hex(pinned)) << what << " (interpreted)";
+  EXPECT_EQ(hex(fingerprint(u)), hex(pinned)) << what << " (untraced)";
+  EXPECT_EQ(hex(fingerprint(t)), hex(pinned)) << what << " (traced)";
 
-  ASSERT_EQ(c.data, i.data) << what << " (staging nondeterminism)";
-  ASSERT_EQ(c.scratch, i.scratch) << what << " (staging nondeterminism)";
-  EXPECT_EQ(c.r.cycles, i.r.cycles) << what;
-  EXPECT_EQ(c.r.aborted, i.r.aborted) << what;
-  EXPECT_EQ(c.r.last_pc, i.r.last_pc) << what;
-  EXPECT_EQ(c.r.fault.code, i.r.fault.code) << what;
-  EXPECT_EQ(c.r.fault.cycle, i.r.fault.cycle) << what;
-  EXPECT_EQ(c.r.core, i.r.core) << what << " (core stats)";
-  EXPECT_EQ(c.r.fpss, i.r.fpss) << what << " (fpss stats)";
-  EXPECT_EQ(c.r.ssr_lane, i.r.ssr_lane) << what << " (ssr lane stats)";
-  EXPECT_EQ(c.r.issr_lane, i.r.issr_lane) << what << " (issr lane stats)";
-  EXPECT_EQ(c.r.stalls, i.r.stalls) << what << " (stall buckets)";
-  EXPECT_EQ(c.r.stalls.total(), c.r.cycles) << what << " (bucket sum)";
+  ASSERT_EQ(u.data, t.data) << what << " (staging nondeterminism)";
+  ASSERT_EQ(u.scratch, t.scratch) << what << " (staging nondeterminism)";
+  EXPECT_EQ(u.r.cycles, t.r.cycles) << what;
+  EXPECT_EQ(u.r.aborted, t.r.aborted) << what;
+  EXPECT_EQ(u.r.last_pc, t.r.last_pc) << what;
+  EXPECT_EQ(u.r.fault.code, t.r.fault.code) << what;
+  EXPECT_EQ(u.r.fault.cycle, t.r.fault.cycle) << what;
+  EXPECT_EQ(u.r.core, t.r.core) << what << " (core stats)";
+  EXPECT_EQ(u.r.fpss, t.r.fpss) << what << " (fpss stats)";
+  EXPECT_EQ(u.r.ssr_lane, t.r.ssr_lane) << what << " (ssr lane stats)";
+  EXPECT_EQ(u.r.issr_lane, t.r.issr_lane) << what << " (issr lane stats)";
+  EXPECT_EQ(u.r.stalls, t.r.stalls) << what << " (stall buckets)";
+  EXPECT_EQ(u.r.stalls.total(), u.r.cycles) << what << " (bucket sum)";
   std::string buckets;
   for (unsigned b = 0; b < trace::kNumBuckets; ++b) {
     buckets += std::string(" ") + trace::to_string(static_cast<trace::Bucket>(b)) +
-               "=" + std::to_string(c.r.stalls.counts[b]);
+               "=" + std::to_string(u.r.stalls.counts[b]);
   }
-  EXPECT_FALSE(c.r.aborted) << what << " (generator emitted a wedged program)\n"
-                            << c.r.fault.describe() << "\nlast_next_event="
-                            << c.r.fault.last_next_event << "\nbuckets:" << buckets;
+  EXPECT_FALSE(u.r.aborted) << what << " (generator emitted a wedged program)\n"
+                            << u.r.fault.describe() << "\nlast_next_event="
+                            << u.r.fault.last_next_event << "\nbuckets:" << buckets;
   for (unsigned r = 0; r < 32; ++r) {
-    EXPECT_EQ(c.x[r], i.x[r]) << what << " " << xreg_name(r);
-    EXPECT_EQ(c.f[r], i.f[r]) << what << " " << freg_name(r);
+    EXPECT_EQ(u.x[r], t.x[r]) << what << " " << xreg_name(r);
+    EXPECT_EQ(u.f[r], t.f[r]) << what << " " << freg_name(r);
   }
-  ASSERT_EQ(c.mem.size(), i.mem.size()) << what;
-  for (std::size_t w = 0; w < c.mem.size(); ++w) {
-    EXPECT_EQ(c.mem[w], i.mem[w]) << what << " mem word " << w;
+  ASSERT_EQ(u.mem.size(), t.mem.size()) << what;
+  for (std::size_t w = 0; w < u.mem.size(); ++w) {
+    EXPECT_EQ(u.mem[w], t.mem[w]) << what << " mem word " << w;
   }
 }
 
@@ -494,7 +498,7 @@ void run_range(std::uint64_t first, Profile profile,
     run_seed(seed, profile, pins[seed - first]);
     if (::testing::Test::HasFailure()) {
       std::string listing;
-      run_tier(seed, profile, /*compiled=*/false, &listing);
+      run_program(seed, profile, /*traced=*/false, &listing);
       FAIL() << "first failing seed: " << seed
              << " — replay by running this seed alone; program:\n"
              << listing;
@@ -502,8 +506,9 @@ void run_range(std::uint64_t first, Profile profile,
   }
 }
 
-// Per-seed fingerprints, captured from the interpreter and the compiled
-// tier when both still existed (they agreed on every seed).
+// Per-seed fingerprints. They were captured while the core still had a
+// second, instruction-interpreting execution tier; both tiers agreed on
+// every seed.
 constexpr std::uint64_t kMixedPins[80] = {
     0x6ee920b1812ed135ull, 0xe4f9d4c63a9df194ull, 0xac578880c4c87babull,
     0xa871df44bf677029ull, 0x74bb0291ddbdce2bull, 0xcf95c16e6a3d9007ull,

@@ -3,10 +3,10 @@
 // FREP loops with register staggering, and streamer CSR configuration.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
 
-#include "core/engine.hpp"
 #include "core/fpu.hpp"
 #include "core/sim.hpp"
 #include "isa/assembler.hpp"
@@ -32,6 +32,23 @@ TEST(Fpu, ComputeSemantics) {
   EXPECT_EQ(fpu_compute(Op::kFsgnjxD, -3, -1, 0), 3.0);
   EXPECT_EQ(fpu_compute(Op::kFminD, 2, 5, 0), 2.0);
   EXPECT_EQ(fpu_compute(Op::kFmaxD, 2, 5, 0), 5.0);
+}
+
+TEST(Fpu, MinMaxTiesAndNans) {
+  // Bit-exact rule (fpu.cpp min_max): a +0/-0 tie yields rs1; one quiet
+  // NaN yields the other operand, a signaling one comes back quieted; two
+  // NaNs yield rs2 quieted.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double qnan = std::bit_cast<double>(0x7ff8'0000'0000'0001ull);
+  const double snan = std::bit_cast<double>(0x7ff0'0000'0000'0002ull);
+  for (const Op op : {Op::kFminD, Op::kFmaxD}) {
+    EXPECT_EQ(bits(fpu_compute(op, 0.0, -0.0, 0)), bits(0.0));
+    EXPECT_EQ(bits(fpu_compute(op, -0.0, 0.0, 0)), bits(-0.0));
+    EXPECT_EQ(fpu_compute(op, qnan, 1.5, 0), 1.5);
+    EXPECT_EQ(fpu_compute(op, 1.5, qnan, 0), 1.5);
+    EXPECT_EQ(bits(fpu_compute(op, snan, 1.5, 0)), 0x7ff8'0000'0000'0002ull);
+    EXPECT_EQ(bits(fpu_compute(op, qnan, snan, 0)), 0x7ff8'0000'0000'0002ull);
+  }
 }
 
 TEST(Fpu, IntConversions) {
@@ -306,75 +323,54 @@ TEST(Fpss, FrepSingleIteration) {
   EXPECT_EQ(sim.read_f64(out), 2.0);
 }
 
-// --- FREP edge cases (pinned cycle counts, both execution tiers) -------------
+// --- FREP edge cases (pinned cycle counts) -----------------------------------
 //
-// Each shape runs under the compiled tier and the interpreter; the cycle
-// counts must match each other bitwise and stay pinned to the committed
-// constant, so any timing drift in either tier (or in FREP sequencing
-// itself) fails loudly here before the differential fuzzer has to find it.
+// Each shape's cycle count is pinned to the committed constant, so any
+// timing drift in FREP sequencing fails loudly here before the
+// differential fuzzer has to find it.
 
-/// Toggle the process-wide compiled-tier default for one scope.
-class ScopedCompiled {
- public:
-  explicit ScopedCompiled(bool on) : prev_(engine_compiled_default()) {
-    set_engine_compiled_default(on);
-  }
-  ~ScopedCompiled() { set_engine_compiled_default(prev_); }
-
- private:
-  bool prev_;
-};
-
-/// Run `build`'s program under both tiers; expect identical runs at the
-/// pinned cycle count and return the compiled-tier sim for value checks.
+/// Run `build`'s program; expect a completed run at the pinned cycle
+/// count, then value-check the sim.
 template <typename Build>
-void run_both_tiers_pinned(Build&& build, cycle_t pinned_cycles,
-                           const std::function<void(CcSim&)>& check) {
-  for (const bool compiled : {true, false}) {
-    ScopedCompiled tier(compiled);
-    CcSim sim;
-    Assembler a;
-    build(sim, a);
-    const CcSimResult r = run_program(sim, a);
-    ASSERT_FALSE(r.aborted) << r.fault.describe();
-    EXPECT_EQ(r.cycles, pinned_cycles)
-        << (compiled ? "compiled tier" : "interpreter");
-    check(sim);
-  }
+void run_pinned(Build&& build, cycle_t pinned_cycles,
+                const std::function<void(CcSim&)>& check) {
+  CcSim sim;
+  Assembler a;
+  build(sim, a);
+  const CcSimResult r = run_program(sim, a);
+  ASSERT_FALSE(r.aborted) << r.fault.describe();
+  EXPECT_EQ(r.cycles, pinned_cycles);
+  check(sim);
 }
 
 TEST(FrepEdge, ZeroInstsIsNoOpLoop) {
   // frep_insts == 0 is unreachable through the assembler (it asserts) but
   // representable in the encoding; the sequencer must treat it as an
   // empty loop and leave the following FP op as a plain one-shot issue.
-  for (const bool compiled : {true, false}) {
-    ScopedCompiled tier(compiled);
-    CcSim sim;
-    const addr_t out = sim.alloc(8);
-    Assembler a;
-    a.li(kT0, 1);
-    a.fcvt_d_w(kFa1, kT0);  // fa1 = 1.0
-    a.fzero(kFa0);
-    a.li(kT1, 9);   // ten iterations of an empty body
-    a.frep(kT1, 1); // insts field patched to 0 below
-    a.fadd_d(kFa0, kFa0, kFa1);  // NOT the loop body: runs exactly once
-    a.li(kS2, static_cast<std::int64_t>(out));
-    kernels::emit_fpss_sync(a);
-    a.fsd(kFa0, kS2, 0);
-    kernels::emit_fpss_sync(a);
-    kernels::emit_halt(a);
-    const isa::Program assembled = a.assemble();
-    std::vector<insn_word_t> words = assembled.words();
-    for (std::size_t i = 0; i < assembled.insts().size(); ++i) {
-      if (assembled.insts()[i].op == Op::kFrep) words[i] &= ~(0xFu << 20);
-    }
-    sim.set_program(isa::Program(std::move(words)));
-    const CcSimResult r = sim.run(1'000'000);
-    ASSERT_FALSE(r.aborted) << r.fault.describe();
-    EXPECT_EQ(r.cycles, 13u)
-        << (compiled ? "compiled tier" : "interpreter");
-    EXPECT_EQ(sim.read_f64(out), 1.0);
+  CcSim sim;
+  const addr_t out = sim.alloc(8);
+  Assembler a;
+  a.li(kT0, 1);
+  a.fcvt_d_w(kFa1, kT0);  // fa1 = 1.0
+  a.fzero(kFa0);
+  a.li(kT1, 9);   // ten iterations of an empty body
+  a.frep(kT1, 1); // insts field patched to 0 below
+  a.fadd_d(kFa0, kFa0, kFa1);  // NOT the loop body: runs exactly once
+  a.li(kS2, static_cast<std::int64_t>(out));
+  kernels::emit_fpss_sync(a);
+  a.fsd(kFa0, kS2, 0);
+  kernels::emit_fpss_sync(a);
+  kernels::emit_halt(a);
+  const isa::Program assembled = a.assemble();
+  std::vector<insn_word_t> words = assembled.words();
+  for (std::size_t i = 0; i < assembled.insts().size(); ++i) {
+    if (assembled.insts()[i].op == Op::kFrep) words[i] &= ~(0xFu << 20);
   }
+  sim.set_program(isa::Program(std::move(words)));
+  const CcSimResult r = sim.run(1'000'000);
+  ASSERT_FALSE(r.aborted) << r.fault.describe();
+  EXPECT_EQ(r.cycles, 13u);
+  EXPECT_EQ(sim.read_f64(out), 1.0);
 }
 
 TEST(FrepEdge, StaggerWrapsAtMaxPlusOne) {
@@ -382,7 +378,7 @@ TEST(FrepEdge, StaggerWrapsAtMaxPlusOne) {
   // back to ft2. The body reads unstaggered ft2, so the wrap is visible
   // in the values: without it ft2 would stay at 1.0.
   addr_t out = 0;
-  run_both_tiers_pinned(
+  run_pinned(
       [&](CcSim& sim, Assembler& a) {
         out = sim.alloc(24);
         a.li(kT0, 1);
@@ -411,7 +407,7 @@ TEST(FrepEdge, ReplayOutlivesProgramEnd) {
   // The FREP body is the final FP instruction and the core halts right
   // behind it: replay keeps draining past the halt, and quiescence must
   // wait for the sequencer rather than truncate the loop.
-  run_both_tiers_pinned(
+  run_pinned(
       [&](CcSim&, Assembler& a) {
         a.li(kT0, 1);
         a.fcvt_d_w(kFa1, kT0);  // fa1 = 1.0
@@ -432,7 +428,7 @@ TEST(FrepEdge, BackToBackFrepsReplayInOrder) {
   // behind it; the value pins the ordering (the second loop's read of
   // fa0 must observe the first loop's final sum).
   addr_t out = 0;
-  run_both_tiers_pinned(
+  run_pinned(
       [&](CcSim& sim, Assembler& a) {
         out = sim.alloc(16);
         a.li(kT0, 1);
@@ -465,7 +461,7 @@ TEST(FrepEdge, IntegerOpInterleavedWithBody) {
   // not part of the captured body: the loop repeats the two fadds, and
   // the addi runs once.
   addr_t out = 0;
-  run_both_tiers_pinned(
+  run_pinned(
       [&](CcSim& sim, Assembler& a) {
         out = sim.alloc(16);
         a.li(kT0, 1);

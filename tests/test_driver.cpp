@@ -482,7 +482,7 @@ TEST(Report, TableHasOneRowPerResult) {
   EXPECT_EQ(t.cols(), 9u);
 }
 
-// --- Paper-shape cycle pins ----------------------------------------------------
+// --- Paper-shape cycle pins --------------------------------------------------
 //
 // Exact simulated cycles of the Fig. 4a/4b single-CC shapes and the
 // Fig. 4c 8-worker cluster shape, on fixed seeds. A change here is a

@@ -14,7 +14,6 @@
 
 #include "cluster/cluster.hpp"
 #include "common/types.hpp"
-#include "core/engine.hpp"
 #include "core/sim.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
@@ -278,42 +277,12 @@ TEST(Inject, DmaStallBurnsToTheBudget) {
   EXPECT_EQ(r.fault.cycle, 20'000u);
 }
 
-// --- Compiled-tier fault parity ----------------------------------------------
+// --- Pinned fault records ----------------------------------------------------
 //
-// The compiled tier must not change *how runs fail*: the watchdog, the
-// cycle budget, and every injection kind detect at the identical cycle
-// with identical fault detail. Each test runs the same failure under
-// both tiers and compares the full fault record (and, through the
-// result-row JSON, the v6 fault_detail columns byte for byte).
-
-/// Toggle the process-wide compiled-tier default for one scope.
-class ScopedCompiled {
- public:
-  explicit ScopedCompiled(bool on) : prev_(core::engine_compiled_default()) {
-    core::set_engine_compiled_default(on);
-  }
-  ~ScopedCompiled() { core::set_engine_compiled_default(prev_); }
-
- private:
-  bool prev_;
-};
-
-void expect_faults_equal(const sim::Fault& compiled, const sim::Fault& interp,
-                         const std::string& what) {
-  EXPECT_EQ(compiled.code, interp.code) << what;
-  EXPECT_EQ(compiled.cycle, interp.cycle) << what;
-  EXPECT_EQ(compiled.last_next_event, interp.last_next_event) << what;
-  EXPECT_EQ(compiled.message, interp.message) << what;
-  EXPECT_EQ(compiled.barrier, interp.barrier) << what;
-  EXPECT_EQ(compiled.stalls, interp.stalls) << what << " (stall buckets)";
-  ASSERT_EQ(compiled.harts.size(), interp.harts.size()) << what;
-  for (std::size_t h = 0; h < compiled.harts.size(); ++h) {
-    EXPECT_EQ(compiled.harts[h].pc, interp.harts[h].pc) << what << " hart "
-                                                        << h;
-    EXPECT_EQ(compiled.harts[h].halted, interp.harts[h].halted) << what;
-  }
-  EXPECT_EQ(compiled.describe(), interp.describe()) << what;
-}
+// How runs fail is pinned field by field: the watchdog, the cycle budget,
+// and every injection kind detect at a fixed cycle with fixed detail.
+// The records were captured while the core still had a second,
+// instruction-interpreting execution tier, which failed identically.
 
 /// The fault fields a run's failure is pinned by: code, detection cycle,
 /// last engine horizon, per-hart pc/halted, and the stall buckets.
@@ -331,10 +300,10 @@ std::string fault_record(const sim::Fault& f) {
   return s;
 }
 
-/// A single-CC run that wedges with an empty event horizon: the FREP
-/// consumes one more stream element than the affine job supplies, so the
-/// FPU subsystem waits forever on a lane that can never produce.
-core::CcSimResult run_starved_stream_cc() {
+TEST(FaultRecord, WatchdogNoProgressDetectsAtPinnedCycle) {
+  // The FREP consumes one more stream element than the affine job
+  // supplies, so the FPU subsystem waits forever on a lane that can never
+  // produce: the event horizon empties.
   core::CcSim sim;
   const addr_t data = sim.alloc(64);
   isa::Assembler a;
@@ -346,96 +315,51 @@ core::CcSimResult run_starved_stream_cc() {
   kernels::emit_sync_and_disable(a);
   kernels::emit_halt(a);
   sim.set_program(a.assemble());
-  return sim.run(1'000'000);
-}
-
-TEST(CompiledParity, WatchdogNoProgressDetectsAtIdenticalCycle) {
-  core::CcSimResult compiled, interp;
-  {
-    ScopedCompiled tier(true);
-    compiled = run_starved_stream_cc();
-  }
-  {
-    ScopedCompiled tier(false);
-    interp = run_starved_stream_cc();
-  }
-  ASSERT_TRUE(interp.fault);
-  EXPECT_EQ(interp.fault.code, FaultCode::kWatchdogNoProgress)
-      << interp.fault.describe();
-  EXPECT_EQ(interp.fault.last_next_event, kCycleNever);
-  EXPECT_LT(interp.fault.cycle, 1'000'000u) << "detection must be exact";
-  EXPECT_EQ(compiled.cycles, interp.cycles);
-  expect_faults_equal(compiled.fault, interp.fault, "starved stream");
-  EXPECT_EQ(fault_record(interp.fault),
+  const core::CcSimResult r = sim.run(1'000'000);
+  ASSERT_TRUE(r.fault);
+  EXPECT_EQ(r.cycles, r.fault.cycle);
+  EXPECT_EQ(fault_record(r.fault),
             "watchdog_no_progress cycle=15 next=18446744073709551615 "
             "harts=40000038, stalls=1,13,0,0,0,0,1,0,0,");
 }
 
-TEST(CompiledParity, CycleLimitFaultsAtIdenticalCycle) {
-  const auto spin = [] {
-    core::CcSim sim;
-    isa::Assembler a;
-    const isa::Label loop = a.here();
-    a.j(loop);
-    sim.set_program(a.assemble());
-    return sim.run(100);
-  };
-  core::CcSimResult compiled, interp;
-  {
-    ScopedCompiled tier(true);
-    compiled = spin();
-  }
-  {
-    ScopedCompiled tier(false);
-    interp = spin();
-  }
-  ASSERT_TRUE(interp.fault);
-  EXPECT_EQ(interp.fault.code, FaultCode::kCycleLimit);
-  EXPECT_EQ(interp.fault.cycle, 100u);
-  EXPECT_EQ(compiled.cycles, interp.cycles);
-  expect_faults_equal(compiled.fault, interp.fault, "cycle limit");
-  EXPECT_EQ(fault_record(interp.fault),
+TEST(FaultRecord, CycleLimitFaultsAtPinnedCycle) {
+  core::CcSim sim;
+  isa::Assembler a;
+  const isa::Label loop = a.here();
+  a.j(loop);
+  sim.set_program(a.assemble());
+  const core::CcSimResult r = sim.run(100);
+  ASSERT_TRUE(r.fault);
+  EXPECT_EQ(r.cycles, 100u);
+  EXPECT_EQ(fault_record(r.fault),
             "cycle_limit cycle=100 next=100 harts=40000000, "
             "stalls=0,100,0,0,0,0,0,0,0,");
 }
 
-TEST(CompiledParity, ClusterBarrierDropDeadlocksAtIdenticalCycle) {
-  const auto wedge = [] {
-    cluster::ClusterConfig cfg;
-    std::vector<std::shared_ptr<const isa::Program>> programs;
-    for (unsigned w = 0; w < cfg.num_workers; ++w) {
-      isa::Assembler a;
-      kernels::emit_barrier(a);
-      kernels::emit_halt(a);
-      programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
-    }
-    cluster::Cluster cl(cfg, std::move(programs));
-    cl.barrier().inject_drop_next_release();
-    return cl.run(1'000'000);
-  };
-  cluster::ClusterResult compiled, interp;
-  {
-    ScopedCompiled tier(true);
-    compiled = wedge();
+TEST(FaultRecord, ClusterBarrierDropDeadlocksAtPinnedCycle) {
+  cluster::ClusterConfig cfg;
+  std::vector<std::shared_ptr<const isa::Program>> programs;
+  for (unsigned w = 0; w < cfg.num_workers; ++w) {
+    isa::Assembler a;
+    kernels::emit_barrier(a);
+    kernels::emit_halt(a);
+    programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
-  {
-    ScopedCompiled tier(false);
-    interp = wedge();
-  }
-  ASSERT_TRUE(interp.fault);
-  EXPECT_EQ(interp.fault.code, FaultCode::kBarrierDeadlock);
-  EXPECT_EQ(compiled.cycles, interp.cycles);
-  expect_faults_equal(compiled.fault, interp.fault, "barrier drop");
-  EXPECT_EQ(fault_record(interp.fault),
+  cluster::Cluster cl(cfg, std::move(programs));
+  cl.barrier().inject_drop_next_release();
+  const cluster::ClusterResult r = cl.run(1'000'000);
+  ASSERT_TRUE(r.fault);
+  EXPECT_EQ(r.cycles, 1u);
+  EXPECT_EQ(fault_record(r.fault),
             "barrier_deadlock cycle=1 next=18446744073709551615 "
             "harts=40000000,40000000,40000000,40000000,40000000,40000000,"
             "40000000,40000000, stalls=0,0,8,0,0,0,0,0,0,");
 }
 
-TEST(CompiledParity, EveryInjectKindMatchesInterpreterByteForByte) {
+TEST(FaultRecord, EveryInjectKindMatchesItsPin) {
   // Each kind rides its canonical scenario/budget (the ones the Inject
-  // tests above pin); the whole result row — status, cycles, metrics,
-  // and the v6 fault_detail object — must serialize identically.
+  // tests above pin).
   struct Case {
     const char* kind;
     unsigned cores, clusters;
@@ -454,32 +378,14 @@ TEST(CompiledParity, EveryInjectKindMatchesInterpreterByteForByte) {
   };
   for (const auto& c : cases) {
     const FaultPlan p = plan(c.kind);
-    const auto row = [&] {
-      std::vector<Scenario> list = {single(c.cores, c.clusters)};
-      SweepSpec spec;
-      spec.scenarios = list;
-      spec.jobs = 1;
-      spec.options.inject = &p;
-      spec.options.max_cycles = c.max_cycles;
-      return driver::run_sweep(spec).results;
-    };
-    std::vector<ScenarioResult> compiled, interp;
-    {
-      ScopedCompiled tier(true);
-      compiled = row();
-    }
-    {
-      ScopedCompiled tier(false);
-      interp = row();
-    }
-    ASSERT_EQ(compiled.size(), 1u) << c.kind;
-    ASSERT_EQ(interp.size(), 1u) << c.kind;
-    EXPECT_EQ(driver::results_to_json(compiled),
-              driver::results_to_json(interp))
-        << "inject kind " << c.kind;
-    EXPECT_EQ(driver::results_to_csv(compiled), driver::results_to_csv(interp))
-        << "inject kind " << c.kind;
-    const ScenarioResult& r = interp[0];
+    SweepSpec spec;
+    spec.scenarios = {single(c.cores, c.clusters)};
+    spec.jobs = 1;
+    spec.options.inject = &p;
+    spec.options.max_cycles = c.max_cycles;
+    const auto results = driver::run_sweep(spec).results;
+    ASSERT_EQ(results.size(), 1u) << c.kind;
+    const ScenarioResult& r = results[0];
     EXPECT_EQ(std::string(driver::row_status(r)) + " " +
                   sim::to_string(r.fault.code) +
                   " cycle=" + std::to_string(r.fault.cycle) +

@@ -281,7 +281,7 @@ TEST(Assembler, LiExpandsAllRanges) {
   }
 }
 
-TEST(Program, FetchByPc) {
+TEST(Program, PcIndexing) {
   Assembler a;
   a.nop();
   a.ecall();
@@ -290,7 +290,8 @@ TEST(Program, FetchByPc) {
   EXPECT_TRUE(prog.contains_pc(Program::kBaseAddr + 4));
   EXPECT_FALSE(prog.contains_pc(Program::kBaseAddr + 8));
   EXPECT_FALSE(prog.contains_pc(Program::kBaseAddr + 2));
-  EXPECT_EQ(prog.fetch(Program::kBaseAddr + 4).op, Op::kEcall);
+  EXPECT_EQ(prog.insts().at(1).op, Op::kEcall);
+  EXPECT_EQ(prog.word_at(Program::kBaseAddr + 4), prog.words().at(1));
 }
 
 TEST(Assembler, ListingMentionsOpcodes) {

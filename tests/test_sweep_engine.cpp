@@ -260,11 +260,9 @@ TEST(AssetCache, SharedCompiledTranslationBuiltOnce) {
   const auto c1 = cache.compiled(key, build);
   const auto c2 = cache.compiled(key, build);
   EXPECT_EQ(c1.get(), c2.get());  // translated once, shared
-  // Identical structure to a fresh translation of the same program.
+  // Identical size to a fresh translation of the same program.
   const core::CompiledProgram fresh(program);
   EXPECT_EQ(c1->size(), fresh.size());
-  EXPECT_EQ(c1->blocks().size(), fresh.blocks().size());
-  EXPECT_EQ(c1->freps().size(), fresh.freps().size());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.compiled_builds, 1u);
   EXPECT_EQ(stats.compiled_hits, 1u);
@@ -296,9 +294,9 @@ TEST(SweepEngine, CacheCountsUniqueWorkloadsOnce) {
   EXPECT_EQ(outcome.stats.runs, scenarios.size());
   EXPECT_GT(outcome.stats.core_cycles, 0u);
   EXPECT_GT(outcome.stats.wall_seconds, 0.0);
-  // With the compiled tier on by default, every cached Program fetch is
-  // paired with a compiled-translation fetch under the qualified key, so
-  // the counters mirror exactly: one translation per distinct program.
+  // Every cached Program fetch is paired with a translation fetch under
+  // the qualified key, so the counters mirror exactly: one translation
+  // per distinct program.
   EXPECT_EQ(outcome.stats.cache.compiled_builds,
             outcome.stats.cache.program_builds);
   EXPECT_EQ(outcome.stats.cache.compiled_hits,

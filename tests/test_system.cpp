@@ -635,7 +635,6 @@ TEST(SystemImages, WorkersHandedOneProgramObjectShareItsTranslation) {
   SystemConfig cfg;
   cfg.num_clusters = 3;
   cfg.cluster.num_workers = 2;
-  cfg.cluster.compiled = true;
   const auto image = [](unsigned w) {
     isa::Assembler a;
     a.li(isa::kT0, static_cast<std::int64_t>(w));
@@ -660,22 +659,12 @@ TEST(SystemImages, WorkersHandedOneProgramObjectShareItsTranslation) {
   const auto r = sys.run(100'000);
   EXPECT_FALSE(r.aborted);
   EXPECT_EQ(r.compiled_programs, 3u);
-
-  cfg.cluster.compiled = false;
-  System interp(cfg, programs);
-  for (unsigned c = 0; c < 3; ++c) {
-    for (unsigned w = 0; w < 2; ++w) {
-      EXPECT_EQ(interp.cluster(c).compiled(w), nullptr);
-    }
-  }
-  EXPECT_EQ(interp.run(100'000).compiled_programs, 0u);
 }
 
 // The stealing kernels give all eight clusters the same eight worker
 // images: 8 translations, not 64. The static path builds one program per
-// (cluster, worker) and keeps them; with the compiled tier off nothing is
-// translated. Every run still matches the golden reference, and the tier
-// never changes a cycle or a result bit.
+// (cluster, worker) and keeps them. Every run still matches the golden
+// reference.
 TEST(SystemImages, StealingCsrmvTranslatesEachWorkerImageOnce) {
   Rng rng(2300);
   const auto a = sparse::generate_matrix(rng, sparse::MatrixFamily::kPowerLaw,
@@ -684,7 +673,6 @@ TEST(SystemImages, StealingCsrmvTranslatesEachWorkerImageOnce) {
   const auto want = sparse::ref_csrmv(a, x);
   SysCsrmvConfig cfg;
   cfg.system.num_clusters = 8;
-  cfg.system.cluster.compiled = true;
   const auto steal = run_csrmv_system(a, x, cfg);
   ASSERT_TRUE(steal.steal);
   EXPECT_EQ(steal.system.compiled_programs, 8u);
@@ -695,13 +683,6 @@ TEST(SystemImages, StealingCsrmvTranslatesEachWorkerImageOnce) {
   ASSERT_FALSE(fixed.steal);
   EXPECT_EQ(fixed.system.compiled_programs, 64u);
   EXPECT_TRUE(sparse::allclose(fixed.y, want, 1e-9, 1e-9));
-
-  cfg.steal = true;
-  cfg.system.cluster.compiled = false;
-  const auto interp = run_csrmv_system(a, x, cfg);
-  EXPECT_EQ(interp.system.compiled_programs, 0u);
-  EXPECT_EQ(interp.system.cycles, steal.system.cycles);
-  EXPECT_TRUE(sparse::allclose(interp.y, steal.y, 0.0, 0.0));
 }
 
 TEST(SystemImages, StealingCsrmmTranslatesEachWorkerImageOnce) {
@@ -712,7 +693,6 @@ TEST(SystemImages, StealingCsrmmTranslatesEachWorkerImageOnce) {
   const auto want = sparse::ref_csrmm(a, b);
   SysCsrmmConfig cfg;
   cfg.system.num_clusters = 8;
-  cfg.system.cluster.compiled = true;
   cfg.col_block = 4;
   const auto steal = run_csrmm_system(a, b, cfg);
   ASSERT_TRUE(steal.steal);
@@ -724,13 +704,6 @@ TEST(SystemImages, StealingCsrmmTranslatesEachWorkerImageOnce) {
   ASSERT_FALSE(fixed.steal);
   EXPECT_EQ(fixed.system.compiled_programs, 64u);
   EXPECT_TRUE(sparse::allclose(fixed.y, want, 1e-9, 1e-9));
-
-  cfg.steal = true;
-  cfg.system.cluster.compiled = false;
-  const auto interp = run_csrmm_system(a, b, cfg);
-  EXPECT_EQ(interp.system.compiled_programs, 0u);
-  EXPECT_EQ(interp.system.cycles, steal.system.cycles);
-  EXPECT_TRUE(sparse::allclose(interp.y, steal.y, 0.0, 0.0));
 }
 
 // --- Golden pins -------------------------------------------------------------
