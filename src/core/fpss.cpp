@@ -240,16 +240,10 @@ void Fpss::arm_replay() {
   const bool stagger = frep_.stagger_mask != 0 && frep_.stagger_max != 0;
   const unsigned period = stagger ? frep_.stagger_max + 1u : 1u;
   const unsigned mask = stagger ? frep_.stagger_mask : 0u;
-  if (period != rows_period_ || mask != rows_mask_ ||
-      frep_.buffer != rows_body_) {
-    rows_body_ = frep_.buffer;
-    rows_period_ = period;
-    rows_mask_ = mask;
-    rows_.clear();
-    for (unsigned offset = 0; offset < period; ++offset) {
-      for (const Inst& inst : rows_body_) {
-        rows_.push_back(lower_fpss_op(apply_stagger(inst, offset, mask)));
-      }
+  rows_.clear();
+  for (unsigned offset = 0; offset < period; ++offset) {
+    for (const Inst& inst : frep_.buffer) {
+      rows_.push_back(lower_fpss_op(apply_stagger(inst, offset, mask)));
     }
   }
   // Replay resumes at iteration 1.

@@ -213,9 +213,8 @@ class Fpss {
   /// core captured at offload (0 in FREP replay).
   bool issue(const FpssMicroOp& m, std::uint64_t int_operand, cycle_t now);
 
-  /// Capture end: point replay at the rows of the captured body, lowering
-  /// them first unless the previous capture had the same body and
-  /// stagger.
+  /// Capture end: lower the captured body into the replay rows and point
+  /// replay at iteration 1's row.
   void arm_replay();
 
   FpssParams params_;
@@ -233,12 +232,8 @@ class Fpss {
   FrepState frep_;
   // FREP replay table: `period` rows of n_insts micro-ops, row r holding
   // the captured body with stagger offset r applied (period = stagger_max
-  // + 1 when staggering, else 1). rows_body_/rows_period_/rows_mask_
-  // record what the rows were lowered from.
+  // + 1 when staggering, else 1).
   std::vector<FpssMicroOp> rows_;
-  std::vector<isa::Inst> rows_body_;
-  unsigned rows_period_ = 0;
-  unsigned rows_mask_ = 0;
   /// Row of the current iteration, rows_ + (iter % period) * n_insts,
   /// advanced at each iteration wrap.
   const FpssMicroOp* frep_row_ = nullptr;

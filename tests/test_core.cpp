@@ -3,6 +3,8 @@
 // FREP loops with register staggering, and streamer CSR configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <functional>
@@ -11,6 +13,7 @@
 #include "core/sim.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/kargs.hpp"
+#include "trace/ring.hpp"
 
 namespace issr::core {
 namespace {
@@ -325,21 +328,50 @@ TEST(Fpss, FrepSingleIteration) {
 
 // --- FREP edge cases (pinned cycle counts) -----------------------------------
 //
-// Each shape's cycle count is pinned to the committed constant, so any
-// timing drift in FREP sequencing fails loudly here before the
-// differential fuzzer has to find it.
+// Each shape's cycle count and stall buckets are pinned to the committed
+// constants, so any timing drift in FREP sequencing fails loudly here
+// before the differential fuzzer has to find it.
 
-/// Run `build`'s program; expect a completed run at the pinned cycle
-/// count, then value-check the sim.
+/// Stall buckets in trace::Bucket order: fp_compute, issue, barrier,
+/// noc_contention, idx_serializer, tcdm_conflict, stream_starved, drain,
+/// other.
+using BucketPins = std::array<std::uint64_t, trace::kNumBuckets>;
+
+BucketPins bucket_counts(const trace::StallBuckets& s) {
+  BucketPins b{};
+  std::copy(std::begin(s.counts), std::end(s.counts), b.begin());
+  return b;
+}
+
+/// Run `build`'s program twice: under a trace sink, which ticks every
+/// unit every cycle, and untraced, where the fused executor may run the
+/// FREP replay. Expect both runs complete at the pinned cycle count and
+/// stall buckets with equal core and FPSS counters, then value-check the
+/// untraced sim.
 template <typename Build>
 void run_pinned(Build&& build, cycle_t pinned_cycles,
+                const BucketPins& pinned_buckets,
                 const std::function<void(CcSim&)>& check) {
+  trace::RingBufferSink sink(1u << 12);
+  CcSim traced;
+  Assembler ta;
+  build(traced, ta);
+  traced.set_program(ta.assemble());
+  traced.attach_trace(sink);
+  const CcSimResult t = traced.run(1'000'000);
+
   CcSim sim;
   Assembler a;
   build(sim, a);
   const CcSimResult r = run_program(sim, a);
   ASSERT_FALSE(r.aborted) << r.fault.describe();
+  ASSERT_FALSE(t.aborted) << t.fault.describe();
   EXPECT_EQ(r.cycles, pinned_cycles);
+  EXPECT_EQ(t.cycles, pinned_cycles);
+  EXPECT_EQ(bucket_counts(r.stalls), pinned_buckets);
+  EXPECT_EQ(bucket_counts(t.stalls), pinned_buckets);
+  EXPECT_EQ(r.core, t.core);
+  EXPECT_EQ(r.fpss, t.fpss);
   check(sim);
 }
 
@@ -395,7 +427,7 @@ TEST(FrepEdge, StaggerWrapsAtMaxPlusOne) {
         kernels::emit_fpss_sync(a);
         kernels::emit_halt(a);
       },
-      /*pinned_cycles=*/23u,
+      /*pinned_cycles=*/23u, BucketPins{4, 14, 0, 0, 0, 0, 0, 5, 0},
       [&](CcSim& sim) {
         EXPECT_EQ(sim.read_f64(out), 2.0);      // iter 0 and the wrap
         EXPECT_EQ(sim.read_f64(out + 8), 2.0);  // read ft2 after iter 0
@@ -417,7 +449,7 @@ TEST(FrepEdge, ReplayOutlivesProgramEnd) {
         a.fadd_d(kFa0, kFa0, kFa1);
         kernels::emit_halt(a);
       },
-      /*pinned_cycles=*/205u,
+      /*pinned_cycles=*/205u, BucketPins{50, 6, 0, 0, 0, 0, 0, 149, 0},
       [&](CcSim& sim) {
         EXPECT_EQ(sim.cc().fpss().freg(static_cast<unsigned>(kFa0)), 50.0);
       });
@@ -448,7 +480,7 @@ TEST(FrepEdge, BackToBackFrepsReplayInOrder) {
         kernels::emit_fpss_sync(a);
         kernels::emit_halt(a);
       },
-      /*pinned_cycles=*/71u,
+      /*pinned_cycles=*/71u, BucketPins{15, 15, 0, 0, 0, 0, 0, 41, 0},
       [&](CcSim& sim) {
         EXPECT_EQ(sim.read_f64(out), 10.0);
         EXPECT_EQ(sim.read_f64(out + 8), 50.0);
@@ -459,7 +491,8 @@ TEST(FrepEdge, IntegerOpInterleavedWithBody) {
   // Integer instructions execute on the core and never reach the FPU
   // subsystem, so an addi between the FREP head's two FP instructions is
   // not part of the captured body: the loop repeats the two fadds, and
-  // the addi runs once.
+  // the addi runs once. The captured body is not the two instructions
+  // after the FREP, which this shape and the next two pin.
   addr_t out = 0;
   run_pinned(
       [&](CcSim& sim, Assembler& a) {
@@ -481,11 +514,84 @@ TEST(FrepEdge, IntegerOpInterleavedWithBody) {
         kernels::emit_fpss_sync(a);
         kernels::emit_halt(a);
       },
-      /*pinned_cycles=*/30u,
+      /*pinned_cycles=*/30u, BucketPins{6, 15, 0, 0, 0, 0, 0, 9, 0},
       [&](CcSim& sim) {
         EXPECT_EQ(sim.read_f64(out), 3.0);
         EXPECT_EQ(sim.read_f64(out + 8), 6.0);
         EXPECT_EQ(sim.cc().core().xreg(kT2), 1u);
+      });
+}
+
+TEST(FrepEdge, BranchInsideBodyWindow) {
+  // A jump right after the first body instruction: the second captured
+  // fadd is the jump target, and the instructions jumped over are never
+  // offloaded or executed.
+  addr_t out = 0;
+  run_pinned(
+      [&](CcSim& sim, Assembler& a) {
+        out = sim.alloc(16);
+        a.li(kT0, 1);
+        a.fcvt_d_w(kFa1, kT0);  // fa1 = 1.0
+        a.fzero(kFa0);
+        a.fzero(kFa2);
+        a.li(kT2, 0);
+        a.li(kT1, 2);  // three iterations
+        a.frep(kT1, 2);
+        a.fadd_d(kFa0, kFa0, kFa1);
+        const Label skip = a.make_label();
+        a.j(skip);
+        a.fmul_d(kFa2, kFa2, kFa2);
+        a.addi(kT2, kT2, 1);
+        a.bind(skip);
+        a.fadd_d(kFa2, kFa2, kFa0);  // fa2 = 1 + 2 + 3
+        a.li(kS2, static_cast<std::int64_t>(out));
+        kernels::emit_fpss_sync(a);
+        a.fsd(kFa0, kS2, 0);
+        a.fsd(kFa2, kS2, 8);
+        kernels::emit_fpss_sync(a);
+        kernels::emit_halt(a);
+      },
+      /*pinned_cycles=*/30u, BucketPins{6, 15, 0, 0, 0, 0, 0, 9, 0},
+      [&](CcSim& sim) {
+        EXPECT_EQ(sim.read_f64(out), 3.0);
+        EXPECT_EQ(sim.read_f64(out + 8), 6.0);
+        EXPECT_EQ(sim.cc().core().xreg(kT2), 0u);
+      });
+}
+
+TEST(FrepEdge, BodyWindowPastProgramEnd) {
+  // The FREP is the second-to-last instruction and the last one jumps
+  // back to the body, so fewer than frep_insts instructions follow the
+  // FREP in the program.
+  addr_t out = 0;
+  run_pinned(
+      [&](CcSim& sim, Assembler& a) {
+        out = sim.alloc(16);
+        const Label frep = a.make_label();
+        const Label body = a.make_label();
+        a.li(kT0, 1);
+        a.fcvt_d_w(kFa1, kT0);  // fa1 = 1.0
+        a.fzero(kFa0);
+        a.fzero(kFa2);
+        a.j(frep);
+        a.bind(body);
+        a.fadd_d(kFa0, kFa0, kFa1);
+        a.fadd_d(kFa2, kFa2, kFa0);  // fa2 = 1 + 2 + 3
+        a.li(kS2, static_cast<std::int64_t>(out));
+        kernels::emit_fpss_sync(a);
+        a.fsd(kFa0, kS2, 0);
+        a.fsd(kFa2, kS2, 8);
+        kernels::emit_fpss_sync(a);
+        kernels::emit_halt(a);
+        a.bind(frep);
+        a.li(kT1, 2);  // three iterations
+        a.frep(kT1, 2);
+        a.j(body);
+      },
+      /*pinned_cycles=*/31u, BucketPins{6, 15, 0, 0, 0, 0, 0, 10, 0},
+      [&](CcSim& sim) {
+        EXPECT_EQ(sim.read_f64(out), 3.0);
+        EXPECT_EQ(sim.read_f64(out + 8), 6.0);
       });
 }
 
