@@ -343,6 +343,60 @@ TEST(SweepEngine, RunScenariosWrapperMatchesRunSweep) {
   EXPECT_EQ(results_to_json(via_wrapper), results_to_json(via_sweep.results));
 }
 
+// --- Pinned sweep mix ----------------------------------------------------------
+
+/// A fixed cache-friendly fig4a/4b/4c mix, 17 scenarios: ISSR CsrMV at
+/// both widths over four families and two low densities (14 rows sharing
+/// 7 workloads; torus pins its own density), SpVV at both widths, and one
+/// 8-worker cluster CsrMV declared last.
+std::vector<Scenario> throughput_mix() {
+  std::vector<Scenario> out;
+  ScenarioMatrix csrmv;
+  csrmv.kernels = {Kernel::kCsrmv};
+  csrmv.variants = {kernels::Variant::kIssr};
+  csrmv.families = {
+      sparse::MatrixFamily::kUniform, sparse::MatrixFamily::kBanded,
+      sparse::MatrixFamily::kPowerLaw, sparse::MatrixFamily::kTorus};
+  csrmv.densities = {0.01, 0.02};
+  csrmv.cores = {1};
+  csrmv.rows = 512;
+  csrmv.cols = 1024;
+  csrmv.base_seed = 42;
+  for (const auto& s : csrmv.expand()) out.push_back(s);
+
+  ScenarioMatrix spvv;
+  spvv.kernels = {Kernel::kSpvv};
+  spvv.variants = {kernels::Variant::kIssr};
+  spvv.densities = {0.25};
+  spvv.cols = 16384;
+  spvv.base_seed = 42;
+  for (const auto& s : spvv.expand()) out.push_back(s);
+
+  ScenarioMatrix cluster;
+  cluster.kernels = {Kernel::kCsrmv};
+  cluster.variants = {kernels::Variant::kIssr};
+  cluster.widths = {sparse::IndexWidth::kU16};
+  cluster.families = {sparse::MatrixFamily::kUniform};
+  cluster.densities = {0.02};
+  cluster.cores = {8};
+  cluster.rows = 256;
+  cluster.cols = 512;
+  cluster.base_seed = 42;
+  for (const auto& s : cluster.expand()) out.push_back(s);
+  return out;
+}
+
+TEST(SweepEngine, ThroughputMixCoreCycles) {
+  const auto scenarios = throughput_mix();
+  ASSERT_EQ(scenarios.size(), 17u);
+  const auto outcome = sweep(scenarios, 2, /*cache=*/true);
+  ASSERT_EQ(outcome.results.size(), scenarios.size());
+  for (const auto& r : outcome.results) {
+    EXPECT_TRUE(r.ok) << r.scenario.name();
+  }
+  EXPECT_EQ(outcome.stats.core_cycles, 209552u);
+}
+
 TEST(SweepEngine, EmptySweepIsWellFormed) {
   const auto outcome = sweep({}, 4, true, 3);
   EXPECT_TRUE(outcome.results.empty());

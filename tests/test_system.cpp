@@ -4,18 +4,22 @@
 // family at 1/2/4/8 clusters, fast-forward on/off identity, shared-memory
 // bandwidth contention, worker images shared across clusters (one
 // translation per distinct program object), golden pins of both kernels'
-// cycles, stalls, tile owners and result bytes, and the driver integration
-// (clusters axis: result files bytewise identical across --jobs, dry-run
-// cost column matching the scheduler's estimate).
+// cycles, stalls, tile owners and result bytes, the scale-out mix's cycles
+// at 1/2/4/8 clusters, and the driver integration (clusters axis: result
+// files bytewise identical across --jobs, dry-run cost column matching the
+// scheduler's estimate).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
+#include "driver/runs.hpp"
 #include "driver/scenario.hpp"
 #include "driver/sweep.hpp"
 #include "isa/assembler.hpp"
@@ -926,6 +930,62 @@ const GoldenCase kGolden[] = {
 TEST(SystemGolden, KernelsMatchPinnedCyclesStallsOwnersAndBytes) {
   for (const auto& g : kGolden) {
     EXPECT_EQ(golden_run(g), g.want) << g.name;
+  }
+}
+
+// The scale-out pins: a four-family CsrMV mix (uniform at 51 nnz/row,
+// banded, torus Laplacian, power-law) on ISSR-u16 with 8 workers per
+// cluster and the default tuning (stealing), at 1/2/4/8 clusters. Every
+// operand comes from Rng(4), each x drawn right after its matrix. The
+// full mix's per-count sums, 108641/57783/31020/17493 cycles, are the
+// README's 1.0/1.88/3.50/6.21x time-to-solution claim; the half mix has
+// the shapes perfbench's system_x8 workload times.
+std::vector<std::pair<sparse::CsrMatrix, sparse::DenseVector>> scale_out_mix(
+    std::uint32_t n, std::uint32_t torus_side) {
+  Rng rng(4);
+  std::vector<std::pair<sparse::CsrMatrix, sparse::DenseVector>> mix;
+  const auto add = [&](sparse::CsrMatrix a) {
+    auto x = sparse::random_dense_vector(rng, a.cols());
+    mix.emplace_back(std::move(a), std::move(x));
+  };
+  add(sparse::random_fixed_row_nnz_matrix(rng, n, n, 51));
+  add(sparse::banded_matrix(rng, n / 2, 24));
+  add(sparse::torus2d_matrix(rng, torus_side, torus_side));
+  add(sparse::powerlaw_matrix(rng, n / 2, n / 4, 24.0, 0.5));
+  return mix;
+}
+
+TEST(SystemGolden, ScaleOutMixCycles) {
+  struct Mix {
+    const char* name;
+    std::uint32_t n, torus_side;
+    std::uint64_t want[4][4];  ///< system cycles [clusters 1/2/4/8][member]
+  };
+  const Mix mixes[] = {
+      {"full", 4096, 64,
+       {{53019, 25177, 16105, 14340},
+        {28242, 13577, 8306, 7658},
+        {14984, 7141, 4548, 4347},
+        {7958, 4052, 2682, 2801}}},
+      {"half", 2048, 48,
+       {{27093, 13242, 9879, 7969},
+        {15181, 7014, 4733, 4026},
+        {7663, 3752, 2662, 2369},
+        {4134, 2302, 1644, 1624}}},
+  };
+  const unsigned kClusters[] = {1, 2, 4, 8};
+  for (const auto& m : mixes) {
+    const auto mix = scale_out_mix(m.n, m.torus_side);
+    for (std::size_t c = 0; c < 4; ++c) {
+      for (std::size_t i = 0; i < mix.size(); ++i) {
+        const auto r = driver::run_csrmv_sys(
+            Variant::kIssr, IndexWidth::kU16, kClusters[c], 8, mix[i].first,
+            mix[i].second);
+        EXPECT_TRUE(r.ok) << m.name << " x" << kClusters[c] << " #" << i;
+        EXPECT_EQ(r.sys.system.cycles, m.want[c][i])
+            << m.name << " x" << kClusters[c] << " #" << i;
+      }
+    }
   }
 }
 
