@@ -36,18 +36,10 @@ inline bool full_run() {
   return v != nullptr && v[0] == '1';
 }
 
-/// Tree identity stamped into the throughput-trajectory JSON documents
-/// (BENCH_sweepspeed.json, BENCH_syssimspeed.json). One implementation
+/// Tree identity for perfbench's `machine:` line. One implementation
 /// with the results-JSON provenance header (common/version.hpp):
 /// ISSR_GIT_DESCRIBE overrides, then `git describe`, then "unknown".
 inline std::string git_describe() { return issr::engine_version(); }
-
-/// Fixed four-decimal rendering for the throughput JSON/table numbers.
-inline std::string fmt_fixed4(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
 
 /// Shared bench command line (the one flag dispatch for every figure/table
 /// binary): --full selects the complete paper sweep, --no-fast-forward
