@@ -5,12 +5,14 @@
 #include <cstring>
 #include <optional>
 
+#include "common/rng.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/dma.hpp"
 #include "mem/ideal_mem.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/main_mem.hpp"
 #include "mem/tcdm.hpp"
+#include "trace/ring.hpp"
 
 namespace issr::mem {
 namespace {
@@ -207,6 +209,137 @@ TEST(Tcdm, DmaClaimBlocksBank) {
   // Claim is per-cycle: next tick the core wins.
   tcdm.tick(2);
   EXPECT_TRUE(pop(tcdm.port(0)).has_value());
+}
+
+/// FNV-1a over 64-bit words (little-endian byte order).
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(const char* s) {
+    for (; *s != '\0'; ++s) {
+      h ^= static_cast<unsigned char>(*s);
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Everything a TCDM exposes over one seeded traffic run.
+struct ArbitrationPin {
+  std::uint64_t responses;  ///< FNV over (cycle, master, id, rdata) pops
+  std::uint64_t port_stats;  ///< FNV over every port's PortStats
+  TcdmStats tcdm;
+  std::uint64_t instants;  ///< FNV over the conflict-instant sequence
+  std::size_t n_instants;
+};
+
+/// Drives `masters` ports with seeded 1/2/4/8-byte reads and writes, half
+/// of them aimed at four hot banks so same-bank collisions are common,
+/// and claims eight banks for the DMA every fifth cycle (wrapping past
+/// the last bank when the first claimed bank is high).
+ArbitrationPin run_arbitration(unsigned masters, std::uint64_t seed) {
+  TcdmConfig cfg;
+  Tcdm tcdm(cfg, masters);
+  trace::RingBufferSink sink(std::size_t{1} << 16);
+  tcdm.attach_trace(sink);
+  Rng rng(seed);
+  for (addr_t a = 0; a < cfg.size_bytes(); a += 8) {
+    tcdm.store().store_u64(cfg.base + a, a * 0x9e3779b97f4a7c15ull);
+  }
+  const std::uint64_t words_per_bank = cfg.bank_bytes / 8;
+  Fnv1a rsp_hash;
+  std::uint32_t next_id = 0;
+  for (cycle_t now = 0; now < 3000; ++now) {
+    if (now % 5 == 0) {
+      tcdm.claim_for_dma(
+          static_cast<std::uint32_t>(rng.uniform_int(0, cfg.num_banks - 1)),
+          8);
+    }
+    tcdm.tick(now);
+    for (unsigned m = 0; m < masters; ++m) {
+      MemPort& port = tcdm.port(m);
+      MemRsp rsp;
+      while (port.pop_response(rsp)) {
+        rsp_hash.add(now);
+        rsp_hash.add(m);
+        rsp_hash.add(rsp.id);
+        rsp_hash.add(rsp.rdata);
+      }
+      if (!port.can_accept() || rng.uniform_int(0, 3) == 0) continue;
+      const std::uint64_t bank = rng.uniform_int(0, 1) == 0
+                                     ? rng.uniform_int(0, 3) * 7
+                                     : rng.uniform_int(0, cfg.num_banks - 1);
+      const std::uint64_t row = rng.uniform_int(0, words_per_bank - 1);
+      const auto bytes = static_cast<std::uint8_t>(1u << rng.uniform_int(0, 3));
+      const std::uint64_t off = rng.uniform_int(0, 8 / bytes - 1) * bytes;
+      MemReq req;
+      req.addr = cfg.base + 8 * (row * cfg.num_banks + bank) + off;
+      req.is_write = rng.uniform_int(0, 2) == 0;
+      req.bytes = bytes;
+      req.wdata = rng.uniform_int(0, ~0ull);
+      req.id = next_id++;
+      port.push_request(req);
+    }
+  }
+  ArbitrationPin pin{};
+  pin.responses = rsp_hash.h;
+  Fnv1a stats_hash;
+  for (unsigned m = 0; m < masters; ++m) {
+    const PortStats& s = tcdm.port(m).stats();
+    stats_hash.add(s.reads);
+    stats_hash.add(s.writes);
+    stats_hash.add(s.stall_cycles);
+  }
+  pin.port_stats = stats_hash.h;
+  pin.tcdm = tcdm.stats();
+  EXPECT_EQ(sink.overwritten(), 0u);
+  Fnv1a ev_hash;
+  for (const trace::Event& e : sink.events()) {
+    ev_hash.add(e.ts);
+    ev_hash.add(e.track);
+    ev_hash.add(static_cast<std::uint64_t>(e.phase));
+    ev_hash.add(e.name);
+    ev_hash.add(e.value);
+  }
+  pin.instants = ev_hash.h;
+  pin.n_instants = sink.size();
+  return pin;
+}
+
+TEST(Tcdm, ArbitrationPinned) {
+  // Grant order, round-robin state, per-port stall counts and the
+  // conflict instants are observable; any arbitration rewrite must
+  // reproduce them exactly. 16 masters is the 8-worker cluster, 66 the
+  // 33-worker one.
+  struct Expected {
+    unsigned masters;
+    std::uint64_t responses, port_stats;
+    TcdmStats tcdm;
+    std::uint64_t instants;
+    std::size_t n_instants;
+  };
+  const Expected cases[] = {
+      {16, 10963858594117296198ull, 1849658624426788310ull,
+       {17121, 25266, 4800}, 11464990047525311395ull, 8627},
+      {66, 11725468807040022512ull, 13691564284122715435ull,
+       {19750, 171651, 4800}, 17234434804738978460ull, 11980},
+  };
+  for (const Expected& want : cases) {
+    SCOPED_TRACE(want.masters);
+    const ArbitrationPin got =
+        run_arbitration(want.masters, 0x7cd3 + want.masters);
+    EXPECT_EQ(got.responses, want.responses);
+    EXPECT_EQ(got.port_stats, want.port_stats);
+    EXPECT_EQ(got.tcdm.grants, want.tcdm.grants);
+    EXPECT_EQ(got.tcdm.conflicts, want.tcdm.conflicts);
+    EXPECT_EQ(got.tcdm.dma_bank_claims, want.tcdm.dma_bank_claims);
+    EXPECT_EQ(got.instants, want.instants);
+    EXPECT_EQ(got.n_instants, want.n_instants);
+  }
 }
 
 class DmaTransfer : public ::testing::Test {
