@@ -202,8 +202,10 @@ class Cluster {
 
   /// Advance one cycle. Order: DMA claims banks for this cycle, TCDM
   /// arbitrates (skipping claimed banks), then the controller and workers
-  /// issue new traffic.
-  void tick(cycle_t now);
+  /// issue new traffic. Flattened: the DMA, TCDM and worker ticks (core,
+  /// FPSS, lanes, port hubs) are small and call-bound, and every cluster
+  /// cycle — a System's included — runs through here.
+  [[gnu::flatten]] void tick(cycle_t now);
 
   /// Fast-forward hook: earliest future cycle this cluster's tick can
   /// differ from the one just performed. Returns `now` while the DMA is

@@ -1,12 +1,37 @@
 #include "mem/backing_store.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace issr::mem {
 
+BackingStore::BackingStore(addr_t window_base, std::uint64_t window_bytes)
+    : window_first_page_(window_base / kPageBytes),
+      window_(window_bytes / kPageBytes, nullptr) {
+  assert(window_base % kPageBytes == 0 && window_bytes % kPageBytes == 0);
+}
+
+std::size_t BackingStore::allocated_pages() const {
+  return pages_.size() + static_cast<std::size_t>(std::count_if(
+                             window_.begin(), window_.end(),
+                             [](const std::uint8_t* p) { return p; }));
+}
+
+// Window lookups compare the page index against the window with one
+// unsigned subtraction: pages below the window wrap to huge offsets.
+
+std::uint8_t* BackingStore::find_page(addr_t idx) const {
+  const addr_t rel = idx - window_first_page_;
+  if (rel < window_.size()) return window_[rel];
+  const auto it = pages_.find(idx);
+  return it == pages_.end() ? nullptr : it->second;
+}
+
 const std::uint8_t* BackingStore::page_for_read(addr_t addr) const {
   const addr_t idx = addr / kPageBytes;
+  const addr_t rel = idx - window_first_page_;
+  if (rel < window_.size()) return window_[rel];
   if (idx == memo_page_) return memo_data_;
   const auto it = pages_.find(idx);
   if (it == pages_.end()) return nullptr;  // absent pages are not memoized
@@ -31,12 +56,12 @@ std::uint64_t BackingStore::load_u64_memo_miss(addr_t addr,
                                                PageMemo& memo) const {
   const std::size_t off = addr % kPageBytes;
   if (off + 8 > kPageBytes) return load(addr, 8);  // page-straddling
-  const auto it = pages_.find(addr / kPageBytes);
-  if (it == pages_.end()) return 0;  // absent pages are not memoized
+  std::uint8_t* page = find_page(addr / kPageBytes);
+  if (page == nullptr) return 0;  // absent pages are not memoized
   memo.page = addr / kPageBytes;
-  memo.data = it->second;
+  memo.data = page;
   std::uint64_t v;
-  std::memcpy(&v, it->second + off, 8);
+  std::memcpy(&v, page + off, 8);
   return v;
 }
 
@@ -55,6 +80,12 @@ void BackingStore::store_u64_memo_miss(addr_t addr, std::uint64_t v,
 
 std::uint8_t* BackingStore::page_for_write(addr_t addr) {
   const addr_t idx = addr / kPageBytes;
+  const addr_t rel = idx - window_first_page_;
+  if (rel < window_.size()) {
+    std::uint8_t*& page = window_[rel];
+    if (page == nullptr) page = allocate_page();
+    return page;
+  }
   if (idx == memo_page_) return memo_data_;
   auto& page = pages_[idx];
   if (page == nullptr) page = allocate_page();

@@ -2,6 +2,11 @@
 // Timing lives in the port/bank models (ideal_mem, tcdm, main_mem); this
 // class only holds bytes. Pages are allocated lazily so a sparse 4 GiB
 // address space costs only what is touched.
+//
+// A store built over a fixed window (the TCDM's 256 KiB) finds the
+// window's pages by direct index into a dense page table; every other
+// page lives in a hash map behind a last-page memo, which suits the
+// open-ended ranges of IdealMemory and MainMemory.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +24,12 @@ class BackingStore {
  public:
   static constexpr std::size_t kPageBytes = 4096;
 
+  BackingStore() = default;
+  /// A store whose pages in [window_base, window_base + window_bytes) are
+  /// found by direct index; both bounds must be page-aligned. Window
+  /// pages still materialize lazily, on first write.
+  BackingStore(addr_t window_base, std::uint64_t window_bytes);
+
   /// Serve page storage from `arena` instead of the heap. Must be called
   /// before the first access; the arena must outlive the store, and may
   /// only be reset() once the store is destroyed (or never touched
@@ -26,7 +37,8 @@ class BackingStore {
   /// arena and resets it between runs, so page allocation across a long
   /// sweep is a pointer bump over recycled chunks instead of malloc.
   void set_arena(Arena* arena) {
-    assert(pages_.empty() && "set_arena must precede the first access");
+    assert(allocated_pages() == 0 &&
+           "set_arena must precede the first access");
     arena_ = arena;
   }
 
@@ -84,9 +96,12 @@ class BackingStore {
   void write_u32s(addr_t addr, const std::uint32_t* src, std::size_t count);
 
   /// Number of lazily-allocated pages (test/diagnostic hook).
-  std::size_t allocated_pages() const { return pages_.size(); }
+  std::size_t allocated_pages() const;
 
  private:
+  /// Page `idx`'s bytes, or null when it is not materialized. Leaves the
+  /// last-page memo alone.
+  std::uint8_t* find_page(addr_t idx) const;
   const std::uint8_t* page_for_read(addr_t addr) const;
   std::uint8_t* page_for_write(addr_t addr);
   std::uint8_t* allocate_page();
@@ -95,17 +110,22 @@ class BackingStore {
 
   // Page index -> page bytes (zero-initialized on materialization).
   // Unallocated reads return zero. Page storage comes from the arena
-  // when one is set, else from owned_ below.
+  // when one is set, else from owned_ below. Window pages live only in
+  // window_ (indexed by page index - window_first_page_; null until
+  // materialized), every other page only in pages_.
+  addr_t window_first_page_ = 0;
+  std::vector<std::uint8_t*> window_;
   std::unordered_map<addr_t, std::uint8_t*> pages_;
   std::vector<std::unique_ptr<std::uint8_t[]>> owned_;
   Arena* arena_ = nullptr;
 
-  // Last-touched-page memo: simulated accesses stream through the same
-  // page for long stretches, so this turns the per-access hash lookup
-  // into one compare. Safe because a page's byte buffer never moves (the
-  // map may rehash, but the page storage is stable) and pages are never
-  // freed. Only allocated pages are memoized — a miss on an unallocated
-  // page must re-probe, since a later store materializes it.
+  // Last-touched-page memo over pages_: simulated accesses stream
+  // through the same page for long stretches, so this turns the
+  // per-access hash lookup into one compare. Safe because a page's byte
+  // buffer never moves (the map may rehash, but the page storage is
+  // stable) and pages are never freed. Only allocated pages are memoized
+  // — a miss on an unallocated page must re-probe, since a later store
+  // materializes it.
   mutable addr_t memo_page_ = ~addr_t{0};
   mutable std::uint8_t* memo_data_ = nullptr;
 };

@@ -9,12 +9,13 @@
 // whole banks for the current cycle (claim_for_dma) before core-side
 // arbitration runs, modelling its 512-bit port.
 //
-// Arbitration is O(masters + banks) per cycle: one pass buckets pending
-// requests into per-bank candidate lists (intrusive linked lists over
-// scratch arrays, no allocation), then one ascending-bank sweep grants at
-// most one candidate per bank via the per-bank round-robin pointer. The
-// previous banks x masters scan was the cluster simulation's largest
-// per-cycle cost.
+// Arbitration is O(masters + busy banks) per cycle: one pass buckets
+// pending requests into per-bank candidate lists (intrusive linked lists
+// over scratch arrays, no allocation) and sets each bucketed bank's bit in
+// a 64-bit mask; a walk over that mask's set bits, lowest first, grants at
+// most one candidate per bank via the per-bank round-robin pointer. DMA
+// bank claims are one mask word of the same shape. The bank count is
+// therefore a power of two no larger than 64.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +68,8 @@ class Tcdm {
 
   /// Bank index of a byte address (word-interleaved at 8 B granularity).
   std::uint32_t bank_of(addr_t addr) const {
-    const addr_t word = (addr - cfg_.base) >> kWordBytesLog2;
-    return bank_mask_ ? static_cast<std::uint32_t>(word & bank_mask_)
-                      : static_cast<std::uint32_t>(word % cfg_.num_banks);
+    return static_cast<std::uint32_t>(
+        ((addr - cfg_.base) >> kWordBytesLog2) & bank_mask_);
   }
 
   /// Reserve banks [first, first+count) for the DMA this cycle; must be
@@ -95,10 +95,10 @@ class Tcdm {
 
  private:
   TcdmConfig cfg_;
-  std::uint32_t bank_mask_ = 0;  ///< num_banks - 1 when a power of two
+  std::uint32_t bank_mask_;  ///< num_banks - 1
   BackingStore store_;
   std::vector<MemPort> ports_;
-  std::vector<bool> dma_claimed_;
+  std::uint64_t dma_claimed_ = 0;  ///< bit b: bank b claimed this cycle
   std::vector<unsigned> rr_next_;  ///< per-bank round-robin pointer
   // Arbitration scratch (persistent to avoid per-cycle allocation):
   // head of each bank's candidate list / next candidate per master, both
