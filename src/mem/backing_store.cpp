@@ -30,9 +30,9 @@ std::uint8_t* BackingStore::find_page(addr_t idx) const {
 
 const std::uint8_t* BackingStore::page_for_read(addr_t addr) const {
   const addr_t idx = addr / kPageBytes;
+  if (idx == memo_page_) return memo_data_;
   const addr_t rel = idx - window_first_page_;
   if (rel < window_.size()) return window_[rel];
-  if (idx == memo_page_) return memo_data_;
   const auto it = pages_.find(idx);
   if (it == pages_.end()) return nullptr;  // absent pages are not memoized
   memo_page_ = idx;
@@ -80,13 +80,13 @@ void BackingStore::store_u64_memo_miss(addr_t addr, std::uint64_t v,
 
 std::uint8_t* BackingStore::page_for_write(addr_t addr) {
   const addr_t idx = addr / kPageBytes;
+  if (idx == memo_page_) return memo_data_;
   const addr_t rel = idx - window_first_page_;
   if (rel < window_.size()) {
     std::uint8_t*& page = window_[rel];
     if (page == nullptr) page = allocate_page();
     return page;
   }
-  if (idx == memo_page_) return memo_data_;
   auto& page = pages_[idx];
   if (page == nullptr) page = allocate_page();
   memo_page_ = idx;

@@ -119,13 +119,13 @@ class BackingStore {
   std::vector<std::unique_ptr<std::uint8_t[]>> owned_;
   Arena* arena_ = nullptr;
 
-  // Last-touched-page memo over pages_: simulated accesses stream
-  // through the same page for long stretches, so this turns the
-  // per-access hash lookup into one compare. Safe because a page's byte
-  // buffer never moves (the map may rehash, but the page storage is
-  // stable) and pages are never freed. Only allocated pages are memoized
-  // — a miss on an unallocated page must re-probe, since a later store
-  // materializes it.
+  // Last-touched-page memo: simulated accesses stream through the same
+  // page for long stretches, so this turns the per-access hash lookup
+  // into one compare. Safe because a page's byte buffer never moves (the
+  // map may rehash, but the page storage is stable) and pages are never
+  // freed. Only allocated pages are memoized — a miss on an unallocated
+  // page must re-probe, since a later store materializes it. Window
+  // pages bypass it.
   mutable addr_t memo_page_ = ~addr_t{0};
   mutable std::uint8_t* memo_data_ = nullptr;
 };

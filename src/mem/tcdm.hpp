@@ -29,7 +29,7 @@ namespace issr::mem {
 
 struct TcdmConfig {
   addr_t base = 0x1000'0000;
-  std::uint32_t num_banks = 32;
+  std::uint32_t num_banks = 32;     ///< a power of two, at most 64
   std::uint32_t bank_bytes = 8192;  ///< 32 x 8 KiB = 256 KiB
   cycle_t latency = 1;              ///< grant-to-response cycles
 

@@ -2,9 +2,12 @@
 // arbitration, DMA transfers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
+#include <vector>
 
+#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/dma.hpp"
@@ -70,6 +73,101 @@ TEST(BackingStore, UnalignedWideAccess) {
   s.store_u64(3, 0x1122334455667788ULL);
   EXPECT_EQ(s.load_u64(3), 0x1122334455667788ULL);
   EXPECT_EQ(s.load_u8(3), 0x88);
+}
+
+// --- The TCDM's direct-indexed page window ----------------------------------
+
+TEST(TcdmWindow, UntouchedReadsZeroAndOneWriteAllocatesOnePage) {
+  TcdmConfig cfg;
+  Tcdm tcdm(cfg, 1);
+  BackingStore& s = tcdm.store();
+  for (addr_t a = 0; a < cfg.size_bytes(); a += BackingStore::kPageBytes / 2) {
+    EXPECT_EQ(s.load_u64(cfg.base + a), 0u);
+  }
+  std::vector<std::uint8_t> all(cfg.size_bytes(), 0xff);
+  s.read_block(cfg.base, all.data(), all.size());
+  EXPECT_EQ(std::count(all.begin(), all.end(), 0),
+            static_cast<std::ptrdiff_t>(all.size()));
+  EXPECT_EQ(s.allocated_pages(), 0u);
+  s.store_u32(cfg.base + 0x1234, 7);
+  EXPECT_EQ(s.allocated_pages(), 1u);
+  EXPECT_EQ(s.load_u32(cfg.base + 0x1234), 7u);
+}
+
+TEST(TcdmWindow, AccessesStraddlingBothEdgesMatchAPlainStore) {
+  // Just outside the window, pages live in the hash map: accesses that
+  // straddle an edge split between the two lookups. A store without a
+  // window is the reference.
+  TcdmConfig cfg;
+  Tcdm tcdm(cfg, 1);
+  BackingStore& s = tcdm.store();
+  BackingStore ref;
+  const addr_t lo = cfg.base;
+  const addr_t hi = cfg.base + cfg.size_bytes();
+  for (const addr_t edge : {lo, hi}) {
+    for (const unsigned bytes : {2u, 4u, 8u}) {
+      const addr_t a = edge - bytes / 2;
+      const std::uint64_t v = 0x0123456789abcdefull * (edge + bytes);
+      s.store(a, v, bytes);
+      ref.store(a, v, bytes);
+      EXPECT_EQ(s.load(a, bytes), ref.load(a, bytes));
+      EXPECT_EQ(s.load_u64(edge - 4), ref.load_u64(edge - 4));
+    }
+  }
+  std::vector<std::uint8_t> data(3 * BackingStore::kPageBytes);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  for (const addr_t start : {lo - 5000, hi - 7000}) {
+    s.write_block(start, data.data(), data.size());
+    ref.write_block(start, data.data(), data.size());
+    std::vector<std::uint8_t> back(data.size());
+    s.read_block(start, back.data(), back.size());
+    EXPECT_EQ(back, data);
+  }
+  const addr_t span_lo = lo - 3 * BackingStore::kPageBytes;
+  const std::size_t span = cfg.size_bytes() + 6 * BackingStore::kPageBytes;
+  std::vector<std::uint8_t> got(span), want(span);
+  s.read_block(span_lo, got.data(), span);
+  ref.read_block(span_lo, want.data(), span);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(s.allocated_pages(), ref.allocated_pages());
+}
+
+TEST(TcdmWindow, PageMemoPathsSeeWindowPages) {
+  TcdmConfig cfg;
+  Tcdm tcdm(cfg, 1);
+  BackingStore& s = tcdm.store();
+  const addr_t a = cfg.base + 3 * BackingStore::kPageBytes + 0x40;
+  BackingStore::PageMemo memo;
+  // An absent page reads zero and is not memoized.
+  EXPECT_EQ(s.load_u64(a, memo), 0u);
+  EXPECT_EQ(memo.data, nullptr);
+  // A page written through the plain path is found on a memo miss.
+  s.store_u64(a, 41);
+  EXPECT_EQ(s.load_u64(a, memo), 41u);
+  EXPECT_NE(memo.data, nullptr);
+  s.store_u64(a + 8, 43);
+  EXPECT_EQ(s.load_u64(a + 8, memo), 43u);
+  // A memo-path store materializes a window page the plain path sees.
+  BackingStore::PageMemo wmemo;
+  const addr_t b = cfg.base + 9 * BackingStore::kPageBytes;
+  s.store_u64(b, 42, wmemo);
+  EXPECT_EQ(s.load_u64(b), 42u);
+  EXPECT_EQ(s.allocated_pages(), 2u);
+}
+
+TEST(TcdmWindow, ArenaBackedPagesComeFromTheArena) {
+  TcdmConfig cfg;
+  Tcdm tcdm(cfg, 1);
+  Arena arena(BackingStore::kPageBytes);  // one chunk per page
+  tcdm.store().set_arena(&arena);
+  tcdm.store().store_u64(cfg.base, 1);
+  tcdm.store().store_u64(cfg.base + cfg.size_bytes() - 8, 2);
+  EXPECT_EQ(tcdm.store().allocated_pages(), 2u);
+  EXPECT_EQ(arena.chunk_count(), 2u);
+  EXPECT_EQ(tcdm.store().load_u64(cfg.base), 1u);
+  EXPECT_EQ(tcdm.store().load_u64(cfg.base + cfg.size_bytes() - 8), 2u);
 }
 
 TEST(IdealMemory, SingleRequestLatency) {
