@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "cluster/barrier.hpp"
 #include "cluster/csrmv_mc.hpp"
@@ -313,6 +314,28 @@ TEST(ClusterCsrmvPerf, DmaOverlapsComputeAcrossTiles) {
             r.cluster.dma.busy_cycles +
                 static_cast<cycle_t>(static_cast<double>(a.nnz()) / 8 * 1.25) +
                 4000);
+}
+
+// --- Engine pins ---------------------------------------------------------------
+
+TEST(EnginePins, ClusterRunCyclesAndStalls) {
+  // A 2-worker ISSR-u16 CsrMV: cycles and every worker's stall buckets.
+  Rng rng(13);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 32, 64, 6);
+  const auto x = sparse::random_dense_vector(rng, 64);
+  McCsrmvConfig cfg;
+  cfg.cluster.num_workers = 2;
+  const auto r = run_csrmv_multicore(a, x, cfg);
+  ASSERT_FALSE(r.cluster.fault);
+  EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
+  std::string s = "cycles=" + std::to_string(r.cluster.cycles);
+  for (const auto& w : r.cluster.stalls) {
+    s += " stalls=";
+    for (const std::uint64_t c : w.counts) s += std::to_string(c) + ",";
+  }
+  EXPECT_EQ(s,
+            "cycles=536 stalls=144,384,0,0,0,0,0,8,0, "
+            "stalls=144,384,0,0,0,0,0,8,0,");
 }
 
 }  // namespace

@@ -8,11 +8,16 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <string>
+#include <utility>
 
+#include "common/rng.hpp"
 #include "core/fpu.hpp"
 #include "core/sim.hpp"
 #include "isa/assembler.hpp"
+#include "kernels/csrmv.hpp"
 #include "kernels/kargs.hpp"
+#include "sparse/generate.hpp"
 #include "trace/ring.hpp"
 
 namespace issr::core {
@@ -653,6 +658,70 @@ TEST(Snitch, BranchPenaltyConfigurable) {
     EXPECT_NEAR(static_cast<double>(r.cycles), static_cast<double>(expect),
                 8.0);
   }
+}
+
+// --- Engine pins ---------------------------------------------------------------
+//
+// Runs with long pure-wait stretches (scalar loads at memory latency 16,
+// a chain of iterative-FPU divides) pinned by cycles and stall buckets.
+
+std::string cycles_and_stalls(const CcSimResult& r) {
+  std::string s = "cycles=" + std::to_string(r.cycles) + " stalls=";
+  for (const std::uint64_t c : r.stalls.counts) s += std::to_string(c) + ",";
+  return s;
+}
+
+TEST(EnginePins, HighLatencySingleCcCyclesAndStalls) {
+  Rng rng(11);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 16, 64, 6);
+  const auto x = sparse::random_dense_vector(rng, 64);
+  const std::pair<kernels::Variant, const char*> cases[] = {
+      {kernels::Variant::kBase,
+       "cycles=2747 stalls=96,1087,0,0,0,0,0,10,1554,"},
+      {kernels::Variant::kSsr,
+       "cycles=2568 stalls=96,907,0,0,0,0,0,11,1554,"},
+      {kernels::Variant::kIssr,
+       "cycles=700 stalls=144,358,0,0,0,0,0,6,192,"},
+  };
+  for (const auto& [variant, pinned] : cases) {
+    CcSimConfig cfg;
+    cfg.mem_latency = 16;
+    CcSim sim(cfg);
+    kernels::CsrmvArgs args;
+    args.ptr = sim.stage_u32(a.ptr());
+    args.idcs = sim.stage_indices(a.idcs(), sparse::IndexWidth::kU16);
+    args.vals = sim.stage(a.vals());
+    args.nrows = a.rows();
+    args.nnz = a.nnz();
+    args.x = sim.stage(x);
+    args.y = sim.alloc(8ull * a.rows());
+    args.width = sparse::IndexWidth::kU16;
+    sim.set_program(kernels::build_csrmv(variant, args));
+    const CcSimResult r = sim.run();
+    ASSERT_FALSE(r.aborted) << kernels::to_string(variant);
+    EXPECT_EQ(cycles_and_stalls(r), pinned) << kernels::to_string(variant);
+  }
+}
+
+TEST(EnginePins, IterativeFpuDrainCyclesAndStalls) {
+  CcSim sim;
+  const addr_t out = sim.alloc(8);
+  Assembler a;
+  a.li(kT0, 9);
+  a.fcvt_d_w(kFa1, kT0);
+  a.li(kT0, 2);
+  a.fcvt_d_w(kFa2, kT0);
+  for (int i = 0; i < 4; ++i) a.fdiv_d(kFa1, kFa1, kFa2);
+  a.li(kS2, static_cast<std::int64_t>(out));
+  kernels::emit_fpss_sync(a);
+  a.fsd(kFa1, kS2, 0);
+  kernels::emit_fpss_sync(a);
+  kernels::emit_halt(a);
+  sim.set_program(a.assemble());
+  const CcSimResult r = sim.run();
+  ASSERT_FALSE(r.aborted);
+  EXPECT_EQ(sim.read_f64(out), 9.0 / 16.0);
+  EXPECT_EQ(cycles_and_stalls(r), "cycles=65 stalls=4,12,0,0,0,0,0,49,0,");
 }
 
 }  // namespace

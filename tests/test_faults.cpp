@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/sim.hpp"
 #include "driver/report.hpp"
@@ -23,6 +24,8 @@
 #include "kernels/kargs.hpp"
 #include "sim/fault.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/generate.hpp"
+#include "system/csrmv_sys.hpp"
 #include "trace/ring.hpp"
 
 namespace issr {
@@ -355,6 +358,78 @@ TEST(FaultRecord, ClusterBarrierDropDeadlocksAtPinnedCycle) {
             "barrier_deadlock cycle=1 next=18446744073709551615 "
             "harts=40000000,40000000,40000000,40000000,40000000,40000000,"
             "40000000,40000000, stalls=0,0,8,0,0,0,0,0,0,");
+}
+
+/// 96 x 96 CsrMV (8 per row) on a 4-cluster System, with `inject` armed.
+system::SysCsrmvResult run_injected_system(std::uint64_t seed, bool steal,
+                                           const sim::InjectSet& inject,
+                                           cycle_t max_cycles) {
+  Rng rng(seed);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 96, 96, 8);
+  const auto x = sparse::random_dense_vector(rng, a.cols());
+  system::SysCsrmvConfig cfg;
+  cfg.system.num_clusters = 4;
+  cfg.steal = steal;
+  cfg.inject = inject;
+  cfg.max_cycles = max_cycles;
+  return system::run_csrmv_system(a, x, cfg);
+}
+
+TEST(FaultRecord, SysBarrierDropDeadlocksAtPinnedCycle) {
+  sim::InjectSet inject;
+  inject.drop_sys_barrier = true;
+  const char* const pinned[] = {
+      // steal off
+      "barrier_deadlock cycle=201 next=18446744073709551615 harts=4000016ch,"
+      "4000016ch,4000016ch,4000016ch,4000016ch,4000016ch,4000016ch,"
+      "40000168h,4000016ch,4000016ch,4000016ch,4000016ch,4000016ch,"
+      "4000016ch,4000016ch,40000168h,4000016ch,4000016ch,4000016ch,"
+      "4000016ch,4000016ch,4000016ch,4000016ch,40000168h,4000016ch,"
+      "4000016ch,4000016ch,4000016ch,4000016ch,4000016ch,4000016ch,"
+      "40000168h, stalls=1056,4516,0,2,0,247,0,611,0,",
+      // steal on
+      "barrier_deadlock cycle=416 next=18446744073709551615 harts=4000273ch,"
+      "4000273ch,4000273ch,400002bch,4000273ch,4000273ch,4000273ch,"
+      "400002bch,4000273ch,4000273ch,4000273ch,400002bch,4000273ch,"
+      "4000273ch,4000273ch,400002bch,4000273ch,4000273ch,4000273ch,"
+      "400002bch,4000273ch,4000273ch,4000273ch,400002bch,4000273ch,"
+      "4000273ch,4000273ch,400002bch,4000273ch,4000273ch,4000273ch,"
+      "400002bch, stalls=1056,11440,0,0,0,57,0,759,0,",
+  };
+  for (const bool steal : {false, true}) {
+    const auto r = run_injected_system(7300, steal, inject, 400'000);
+    ASSERT_TRUE(r.system.fault) << "steal " << steal;
+    EXPECT_EQ(r.system.cycles, r.system.fault.cycle);
+    EXPECT_EQ(fault_record(r.system.fault), pinned[steal ? 1 : 0])
+        << "steal " << steal;
+  }
+}
+
+TEST(FaultRecord, SysStalledDmaBurnsTheBudgetAtPinnedCycle) {
+  sim::InjectSet inject;
+  inject.stall_dma = true;
+  const auto r = run_injected_system(7302, true, inject, 20'000);
+  ASSERT_TRUE(r.system.fault);
+  EXPECT_EQ(r.system.cycles, 20'000u);
+  EXPECT_EQ(fault_record(r.system.fault),
+            "cycle_limit cycle=20000 next=20000 harts=40000000,40000000,"
+            "40000000,40000000,40000000,40000000,40000000,40000000,"
+            "4000273ch,4000273ch,4000273ch,400002bch,4000273ch,4000273ch,"
+            "4000273ch,400002bch,4000273ch,4000273ch,4000273ch,400002bch,"
+            "4000273ch,4000273ch,4000273ch,400002bch,4000273ch,4000273ch,"
+            "4000273ch,400002bch,4000273ch,4000273ch,4000273ch,400002bch,"
+            " stalls=858,169180,0,0,0,28,0,469934,0,");
+}
+
+TEST(FaultRecord, SysArmedClusterBarrierDropFinishesAtPinnedCycle) {
+  // The System CsrMV workers are controller-paced and never rendezvous on
+  // the cluster HW barrier, so this injection stays armed but unconsumed
+  // and the run finishes clean.
+  sim::InjectSet inject;
+  inject.drop_cluster_barrier = true;
+  const auto r = run_injected_system(7301, true, inject, 400'000);
+  EXPECT_FALSE(r.system.fault) << r.system.fault.describe();
+  EXPECT_EQ(r.system.cycles, 416u);
 }
 
 TEST(FaultRecord, EveryInjectKindMatchesItsPin) {
