@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "core/engine.hpp"
 #include "driver/hostprof.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
@@ -60,14 +59,6 @@ only clusters > 1 runs consult them):
                      fine-grained global tile plan: on, off [on]
                      (simulated y is bitwise identical either way;
                      only cycle counts move)
-  --sys-threads N    host threads per multi-cluster run: the parallel
-                     System engine gives each cluster its own worker
-                     thread, up to N; 1 = serial engine; 0 = auto
-                     (min(clusters, hardware threads / --jobs), a
-                     shared budget so jobs x threads never
-                     oversubscribes). Simulated results, result
-                     files, and traces are bitwise identical for
-                     every value; only wall-clock moves        [1]
 
 Workload shape:
   --rows N           matrix rows (csrmv; ignored by spvv) [192]
@@ -108,9 +99,6 @@ Execution and output:
                      (done/total runs, percent by estimated cost,
                      aggregate MCPS, ETA); stdout and result files are
                      bytewise unaffected
-  --no-fast-forward  tick every cycle instead of skipping provably idle
-                     stretches (results are identical either way; use to
-                     bisect a suspected engine discrepancy)
   --list-scenarios   print the expanded scenario matrix (name, shape,
                      seed, derived cost estimate) without simulating
                      (aliases: --list, --dry-run)
@@ -205,7 +193,6 @@ int main(int argc, char** argv) {
   sim::FaultPlan inject_plan;
 
   cli::FlagParser parser("issr_run", kUsage);
-  core::register_engine_cli(parser);
   parser.add_switch("--list-scenarios", [&] { list_only = true; });
   parser.add_alias("--list", "--list-scenarios");
   parser.add_alias("--dry-run", "--list-scenarios");
@@ -292,12 +279,6 @@ int main(int argc, char** argv) {
     } else {
       return false;
     }
-    return true;
-  });
-  parser.add_value("--sys-threads", [&](const std::string& v) {
-    std::uint64_t n = 0;
-    if (!cli::parse_u64(v, n, 1024)) return false;  // 0 = auto
-    spec.options.sys_threads = static_cast<unsigned>(n);
     return true;
   });
   parser.add_value("--rows", [&](const std::string& v) {

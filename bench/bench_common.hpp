@@ -12,7 +12,6 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/version.hpp"
-#include "core/engine.hpp"
 #include "core/sim.hpp"
 #include "driver/runs.hpp"
 #include "kernels/csrmm.hpp"
@@ -42,9 +41,8 @@ inline bool full_run() {
 inline std::string git_describe() { return issr::engine_version(); }
 
 /// Shared bench command line (the one flag dispatch for every figure/table
-/// binary): --full selects the complete paper sweep, --no-fast-forward
-/// disables the engine's idle-cycle skip, --help describes the bench.
-/// Call first thing in main.
+/// binary): --full selects the complete paper sweep, --help describes the
+/// bench. Call first thing in main.
 inline void parse_args(int argc, char** argv, const char* what) {
   const std::string prog =
       argc > 0 && argv[0] != nullptr ? argv[0] : "bench";
@@ -53,13 +51,8 @@ inline void parse_args(int argc, char** argv, const char* what) {
                       "  --full    run the complete paper sweep (default: a "
                       "fast representative subset;\n"
                       "            ISSR_BENCH_FULL=1 is equivalent)\n"
-                      "  --no-fast-forward  tick every cycle instead of "
-                      "skipping provably idle stretches\n"
-                      "            (simulated results are identical either "
-                      "way)\n"
                       "  --help    this text\n";
   cli::FlagParser parser(prog, usage);
-  core::register_engine_cli(parser);
   parser.add_switch("--full", [] { g_full_forced = true; });
   parser.parse(argc, argv);
 }

@@ -55,7 +55,7 @@ def run(binary, workdir, out, extra, expect_exit):
 def rows(workdir, out):
     with open(os.path.join(workdir, out) + ".json") as f:
         doc = json.load(f)
-    check(doc.get("schema") == "issr_run.results.v6",
+    check(doc.get("schema") == "issr_run.results.v7",
           f"{out}: unexpected schema {doc.get('schema')!r}")
     return doc.get("results", [])
 

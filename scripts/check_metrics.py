@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Sanity-gate the v6 metrics surface of a results JSON (and optionally
+"""Sanity-gate the v7 metrics surface of a results JSON (and optionally
 a --metrics Prometheus dump).
 
 Usage: check_metrics.py RESULTS.json [--prometheus METRICS.prom]
 
 Fails (exit 1) when:
-  * the document is not schema issr_run.results.v6 or lacks the engine
+  * the document is not schema issr_run.results.v7 or lacks the engine
     provenance header,
   * any utilization gauge — a flat util_* column, or any metrics entry
     named util_* / *_frac / *_rate — falls outside [0, 1],
@@ -47,7 +47,7 @@ def check_results(path):
     failures = []
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "issr_run.results.v6":
+    if doc.get("schema") != "issr_run.results.v7":
         failures.append(f"unexpected schema {doc.get('schema')!r}")
     engine = doc.get("engine")
     if not isinstance(engine, dict) or "version" not in engine:

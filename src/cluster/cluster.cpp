@@ -93,11 +93,9 @@ void Cluster::tick(cycle_t now) {
 }
 
 cycle_t Cluster::next_event(cycle_t now) const {
-  // A transferring DMA moves (or is denied) beats every cycle: never
-  // skippable. A DMA that is merely waiting out a completion's NoC
-  // latency is inert until the maturity cycle, which bounds the horizon
-  // below — skipping *past* it would make the controller observe the
-  // completion late (the bug this hook's contract exists to prevent).
+  // A transferring DMA moves (or is denied) beats every cycle. A DMA that
+  // is merely waiting out a completion's NoC latency is inert until the
+  // maturity cycle, which bounds the horizon below.
   if (dma_->transferring()) return now;
   cycle_t horizon = kCycleNever;
   if (controller_ && !controller_done_) {
@@ -116,43 +114,8 @@ cycle_t Cluster::next_event(cycle_t now) const {
   return horizon;
 }
 
-cycle_t Cluster::next_seam(cycle_t now) const {
-  // A transferring DMA requests NoC beats (and moves shared-main data)
-  // every cycle it is ticked.
-  if (dma_->transferring()) return now;
-  cycle_t seam = kCycleNever;
-  // A pending completion promotes the next queued transfer to the moving
-  // state at its maturity cycle — beats may flow that same tick — and is
-  // also the event behind every controller-side buffer/capacity change,
-  // so probes may treat "blocked on a local DMA event" as kCycleNever.
-  const cycle_t dc = dma_->next_completion();
-  if (dc < seam) seam = dc;
-  if (controller_ && !controller_done_) {
-    const cycle_t cs =
-        controller_seam_probe_ ? controller_seam_probe_(now) : now;
-    // kCycleHold beats every local bound: an arrived controller polls the
-    // barrier each tick, so it must either park (nothing local pending) or
-    // tick only in coordinated cycles (a DMA completion is still maturing
-    // — letting the completion bound win would free-run those polls
-    // against frozen barrier state and miss a release another cluster
-    // decides in the meantime).
-    if (cs == kCycleHold) return dc == kCycleNever ? kCycleHold : now;
-    if (cs < seam) seam = cs;
-  }
-  return seam < now ? now : seam;
-}
-
-void Cluster::visit_wait_counters(const core::CounterVisitor& f) {
-  for (auto& w : workers_) w->visit_wait_counters(f);
-}
-
-void Cluster::resync_account() {
-  for (auto& w : workers_) w->resync_account();
-}
-
-ClusterResult Cluster::harvest(cycle_t now, cycle_t ff_skipped, bool aborted) {
+ClusterResult Cluster::harvest(cycle_t now, bool aborted) {
   ClusterResult result;
-  result.ff_skipped = ff_skipped;
   result.aborted = aborted;
   if (aborted) {
     ISSR_ERROR("Cluster::run aborted at cycle %llu",
@@ -191,23 +154,15 @@ ClusterResult Cluster::harvest(cycle_t now, cycle_t ff_skipped, bool aborted) {
 }
 
 ClusterResult Cluster::run(cycle_t max_cycles) {
-  // Idle-cycle fast-forward (run_engine in core/engine.hpp): only
-  // engages when the DMA is drained and the controller is done, i.e.
-  // every remaining per-cycle effect lives in the worker CCs.
   struct Units {
     Cluster& c;
     void tick(cycle_t now) { c.tick(now); }
     bool done(cycle_t now) const { return c.done(now); }
     cycle_t next_event(cycle_t now) const { return c.next_event(now); }
-    void visit_counters(const core::CounterVisitor& f) {
-      c.visit_wait_counters(f);
-    }
-    void after_replay() { c.resync_account(); }
   };
-  const core::EngineRun er =
-      core::run_engine(Units{*this}, max_cycles, config_.fast_forward);
+  const core::EngineRun er = core::run_engine(Units{*this}, max_cycles);
   ClusterResult result =
-      harvest(er.cycles, er.skipped, er.stop != core::EngineStop::kDone);
+      harvest(er.cycles, er.stop != core::EngineStop::kDone);
   if (er.stop != core::EngineStop::kDone) {
     result.fault = classify_stop(er.stop, er.cycles, er.last_horizon);
   }

@@ -33,10 +33,6 @@ struct ClusterConfig {
   unsigned num_workers = 8;
   mem::TcdmConfig tcdm;
   core::CcParams cc;
-  /// Skip provably idle cycle stretches in run() (exact; see
-  /// core/engine.hpp). Never engages while the DMA or a not-yet-done
-  /// controller is active. Defaults from the process-wide engine option.
-  bool fast_forward = core::engine_fast_forward_default();
   /// When non-null, the TCDM and main-memory backing pages come from
   /// this arena instead of the heap (observational only; see
   /// common/arena.hpp). Must outlive the cluster, no reset while alive.
@@ -53,8 +49,7 @@ struct ClusterConfig {
 /// Per-run cluster statistics.
 struct ClusterResult {
   cycle_t cycles = 0;
-  /// Simulated cycles the engine fast-forwarded instead of ticking
-  /// (diagnostic; 0 when fast_forward is off or never engaged).
+  /// Inert (always 0): kept only for perfbench, see ROADMAP item 6.
   cycle_t ff_skipped = 0;
   /// True iff the run ended before the cluster was done (cycle budget or
   /// no-progress watchdog); the statistics then describe a truncated run.
@@ -111,9 +106,6 @@ class Cluster {
  public:
   /// A controller is ticked once per cycle after the memories; it models
   /// the DMCC. It may inspect/drive the DMA and read/write TCDM words.
-  /// Fast-forward contract: once a controller has called
-  /// set_controller_done(true) its invocations must be inert no-ops (the
-  /// engine skips them during fast-forwarded idle stretches).
   using Controller = std::function<void(Cluster&, cycle_t)>;
 
   /// Compiled translations keyed by worker program object. A System lends
@@ -154,36 +146,14 @@ class Cluster {
   void set_controller_done(bool done) { controller_done_ = done; }
   bool controller_done() const { return controller_done_; }
 
-  /// Topology-aware lookahead hint: a controller that is provably inert
-  /// until cycle `c` (e.g. parked on the inter-cluster barrier with no
-  /// DMA in flight) declares it from inside its tick, letting the
-  /// fast-forward engine skip the wait. Reset to "hot" (now) before every
-  /// controller invocation, so a stale hint can never outlive one tick;
-  /// kCycleNever means "inert until another cluster acts on me" (the
-  /// System's horizon then comes from the acting cluster).
+  /// Watchdog hint: a controller that is provably inert until cycle `c`
+  /// (e.g. parked on the inter-cluster barrier with no DMA in flight)
+  /// declares it from inside its tick, and next_event reports it. Reset
+  /// to "hot" (now) before every controller invocation, so a stale hint
+  /// can never outlive one tick. kCycleNever means "inert until another
+  /// cluster acts on me": a System whose every cluster reports it is
+  /// deadlocked, and the no-progress watchdog stops the run.
   void set_controller_idle_until(cycle_t c) { controller_idle_until_ = c; }
-
-  /// Host-parallel lookahead hook (system/par_engine.hpp): a probe that
-  /// returns, from the cluster's *current* state, the earliest cycle >=
-  /// `now` at which the controller's tick may read or write state shared
-  /// across clusters — a SysBarrier arrive()/released() consumption, a
-  /// steal-queue try_request(), or a poll() at/after its ready cycle —
-  /// or kCycleNever when every such interaction is gated behind a local
-  /// DMA completion (which bounds next_seam separately). A probe that has
-  /// arrived at the SysBarrier while the release cycle is still undecided
-  /// returns kCycleHold: the lane must not tick further (the observation
-  /// timing of the pending release is architecturally visible), yet no
-  /// finite seam exists — the engine parks it until the barrier's
-  /// mutation epoch moves and the release_hint becomes finite. The probe is
-  /// consulted between ticks, must be side-effect free, and may read
-  /// shared state only through fields that are frozen while this cluster
-  /// is parked (see the determinism argument in docs/ARCHITECTURE.md).
-  /// Without a probe, an active controller pins the seam to `now` —
-  /// always correct, it just forces lockstep execution.
-  using SeamProbe = std::function<cycle_t(cycle_t)>;
-  void set_controller_seam_probe(SeamProbe probe) {
-    controller_seam_probe_ = std::move(probe);
-  }
 
   /// True iff all workers are quiescent, the DMA is drained, and the
   /// controller has finished.
@@ -196,7 +166,7 @@ class Cluster {
   /// called.
   void attach_trace(trace::TraceSink& sink, const std::string& prefix = "");
 
-  // --- Lockstep per-cycle interface ----------------------------------------
+  // --- Per-cycle interface ---------------------------------------------------
   // run() drives these through the shared engine; a multi-cluster System
   // drives every cluster's in one system cycle (system/system.hpp).
 
@@ -207,34 +177,18 @@ class Cluster {
   /// cycle — a System's included — runs through here.
   [[gnu::flatten]] void tick(cycle_t now);
 
-  /// Fast-forward hook: earliest future cycle this cluster's tick can
+  /// Watchdog horizon: earliest future cycle this cluster's tick can
   /// differ from the one just performed. Returns `now` while the DMA is
   /// transferring or an active controller has not declared itself idle
   /// (set_controller_idle_until); a pending NoC-delayed DMA completion
-  /// bounds the horizon by its maturity cycle so it can never be skipped.
+  /// bounds the horizon by its maturity cycle.
   cycle_t next_event(cycle_t now) const;
-
-  /// Conservative interaction horizon for the host-parallel System engine:
-  /// the earliest cycle >= now at which this cluster's tick may touch
-  /// state shared with other clusters (NoC link/bank-group budgets, the
-  /// shared main memory, the SysBarrier, the steal work queue). `now`
-  /// while the DMA is moving beats; bounded by a pending DMA completion's
-  /// maturity (the first cycle a queued transfer can resume beats, and
-  /// the event every controller-side capacity change hangs off); bounded
-  /// by the controller seam probe while the controller is active. Ticks
-  /// strictly before the returned cycle are purely cluster-local.
-  cycle_t next_seam(cycle_t now) const;
-
-  /// Apply `f` to every counter that advances during a pure-wait stretch
-  /// (see core/engine.hpp), and re-prime accounting after a bulk replay.
-  void visit_wait_counters(const core::CounterVisitor& f);
-  void resync_account();
 
   /// Post-run collection: close worker stall timelines, drain pending
   /// TCDM-port stores and final DMA beats, and gather every statistic
   /// into a result (asserting each worker's stall buckets decompose
   /// `now`). Shared by run() and System::run().
-  ClusterResult harvest(cycle_t now, cycle_t ff_skipped, bool aborted);
+  ClusterResult harvest(cycle_t now, bool aborted);
 
   /// Classify a stopped run into a Fault with the cluster's diagnostic
   /// snapshot (per-worker PCs, barrier occupancy, DMA state). `cluster_id`
@@ -260,7 +214,6 @@ class Cluster {
   HwBarrier barrier_;
   std::vector<std::unique_ptr<core::CoreComplex>> workers_;
   Controller controller_;
-  SeamProbe controller_seam_probe_;
   bool controller_done_ = true;
   cycle_t controller_idle_until_ = 0;
   /// Sink/prefix from attach_trace (null when untraced): classify_stop

@@ -25,18 +25,9 @@ inline constexpr unsigned kWordBytes = 8;
 inline constexpr unsigned kWordBytesLog2 = 3;
 
 /// Sentinel cycle meaning "no scheduled event": a unit reporting this from
-/// its next_event() hook is idle until some other unit acts on it. Used by
-/// the idle-cycle fast-forward in CcSim::run / Cluster::run.
+/// its next_event() hook is idle until some other unit acts on it. When
+/// every unit reports it, the engine's no-progress watchdog stops the run
+/// (core/engine.hpp).
 inline constexpr cycle_t kCycleNever = ~cycle_t{0};
-
-/// Sentinel for Cluster::next_seam / controller seam probes (host-parallel
-/// System engine, system/par_engine.hpp): the cluster must not advance past
-/// its current cycle, but the cycle at which it next interacts is *decided
-/// by another cluster's future action* (e.g. it has arrived at the
-/// SysBarrier and the release cycle is still unknown). The engine parks the
-/// lane and re-probes it when the barrier's mutation epoch moves. Distinct
-/// from kCycleNever ("provably no interaction until an external event"),
-/// which lets the lane keep advancing.
-inline constexpr cycle_t kCycleHold = ~cycle_t{0} - 1;
 
 }  // namespace issr

@@ -36,9 +36,4 @@ const char* engine_build_type() { return ISSR_BUILD_TYPE; }
 
 bool engine_build_lto() { return ISSR_LTO_ENABLED != 0; }
 
-// Keep in sync with the initializer of g_fast_forward in core/engine.cpp
-// (a static_assert can't reach a TU-local variable; the pairing is
-// guarded by tests/test_metrics.cpp instead).
-bool engine_build_fast_forward_default() { return true; }
-
 }  // namespace issr

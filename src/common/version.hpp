@@ -4,12 +4,10 @@
 // can key on engine identity).
 //
 // Everything here is a *static build fact*: the source revision, the
-// CMake build type, whether LTO was on, and the compiled-in fast-forward
-// default. Runtime state — in particular the process-wide fast-forward
-// toggle `--no-fast-forward` flips — is deliberately excluded: CI
-// byte-diffs result files across runs with fast-forward on and off, and
-// a provenance header that tracked runtime knobs would break the
-// "results are a pure function of the scenario matrix" bar.
+// CMake build type and whether LTO was on. Runtime state is deliberately
+// excluded: CI byte-diffs result files across runtime knobs (--jobs,
+// tracing, caching), and a provenance header that tracked them would
+// break the "results are a pure function of the scenario matrix" bar.
 #pragma once
 
 #include <string>
@@ -26,9 +24,5 @@ const char* engine_build_type();
 
 /// True when the library was compiled with interprocedural optimization.
 bool engine_build_lto();
-
-/// The compiled-in default of the idle-cycle fast-forward engine (the
-/// value engine_fast_forward_default() starts at before any CLI flag).
-bool engine_build_fast_forward_default();
 
 }  // namespace issr

@@ -76,7 +76,7 @@ class CoreComplex {
   /// single-CC / single-cluster paths.
   void set_noc_stalled(bool v) { noc_stalled_ = v; }
 
-  // --- Fast-forward hooks --------------------------------------------------
+  // --- Watchdog horizon ----------------------------------------------------
   /// Earliest future cycle at which any unit of this CC can behave
   /// differently than it did in the tick just performed (core, FPU
   /// subsystem, streamer lanes, undrained hub responses). `now` means the
@@ -95,28 +95,12 @@ class CoreComplex {
     return e;
   }
 
-  /// Apply `f` to every counter that can advance during a pure-wait
-  /// stretch (the engine snapshots these around one wait tick and replays
-  /// the delta over the skipped span). Port/TCDM/DMA counters are absent
-  /// by design: they only move in cycles the horizon already refuses to
-  /// skip.
-  template <typename F>
-  void visit_wait_counters(F&& f) {
-    core_->mutable_stats().for_each_counter(f);
-    fpss_->mutable_stats().for_each_counter(f);
-    streamer_->lane(ssr::Streamer::kSsrLane).mutable_stats().for_each_counter(f);
-    streamer_->lane(ssr::Streamer::kIssrLane)
-        .mutable_stats()
-        .for_each_counter(f);
-    for (auto& c : stalls_.counts) f(c);
-  }
-
+  // --- Fused-executor hooks ------------------------------------------------
   /// Re-prime the stall accountant's counter snapshot from live values
-  /// after a bulk replay (the skipped cycles all carried identical
-  /// deltas, so the post-skip snapshot is exactly the live state).
+  /// (after fused cycles, which classify from their own deltas and leave
+  /// the snapshot stale).
   void resync_account() { snap_ = sample(); }
 
-  // --- Fused-executor hook -------------------------------------------------
   /// Credit one fused cycle's stall bucket. The fused executor classifies
   /// from its own pre/post counter deltas (a strict subset of the
   /// observations account() folds — the others are statically impossible

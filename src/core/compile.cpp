@@ -457,9 +457,4 @@ void CompiledExec::flush() {
   issr_lane_.materialize_bypass();
 }
 
-void CompiledExec::after_replay() {
-  cc_.resync_account();
-  snap_stale_ = false;
-}
-
 }  // namespace issr::core

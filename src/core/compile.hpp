@@ -134,16 +134,16 @@ std::uint64_t alu_eval(isa::Op op, std::uint64_t a, std::uint64_t b,
 bool branch_taken(isa::Op op, std::uint64_t a, std::uint64_t b);
 
 /// The fused cycle executor for a single-CC simulation on ideal memory:
-/// whenever the core is not at a seam (barrier CSR, halt), one try_tick()
-/// call performs the whole core-complex cycle — memory tick, hub routing,
-/// real core and FPSS ticks (with a specialized parked-core path for the
-/// sync-CSR + FREP-replay steady state), stream-lane ticks whose own
-/// memory traffic bypasses the port protocol, and stall accounting —
-/// skipping the per-unit horizon scans of the generic dispatch.
-/// Every cycle where the preconditions fail returns false and the caller
-/// runs the ordinary per-cycle tick; the fused tick itself reproduces its
-/// state transitions exactly (see compile.cpp for the cycle-order
-/// argument).
+/// whenever the core is not at a seam (barrier CSR, halt), each cycle of
+/// a fused_span() burst performs the whole core-complex cycle — memory
+/// tick, hub routing, real core and FPSS ticks (with a specialized
+/// parked-core path for the sync-CSR + FREP-replay steady state),
+/// stream-lane ticks whose own memory traffic bypasses the port
+/// protocol, and stall accounting — skipping the per-unit horizon scans
+/// of the generic dispatch. At a cycle where the preconditions fail the
+/// burst stops and the caller runs the ordinary per-cycle tick; the
+/// fused tick itself reproduces its state transitions exactly (see
+/// compile.cpp for the cycle-order argument).
 class CompiledExec {
  public:
   CompiledExec(CoreComplex& cc, mem::IdealMemory& mem);
@@ -166,10 +166,6 @@ class CompiledExec {
   /// them here keeps the burst state in registers.
   [[gnu::flatten]] cycle_t fused_span(cycle_t now, cycle_t limit);
 
-  /// Run one fused cycle if the preconditions hold (the engine's
-  /// single-tick path, e.g. the fast-forward wait tick).
-  bool try_tick(cycle_t now) { return fused_span(now, now + 1) != now; }
-
   /// Must be called before any unfused tick that follows fused ticks:
   /// materializes still-undelivered lane bypass requests onto the real
   /// ports and re-primes the stall accountant's snapshot (fused cycles
@@ -180,9 +176,6 @@ class CompiledExec {
   /// port drain serves them (a run can stop — quiescence, cycle limit —
   /// with the final write-stream store still in a bypass slot).
   void flush();
-
-  /// Fast-forward bulk-replay hook (mirrors CcSim's after_replay).
-  void after_replay();
 
   /// True iff the last tick was fused and made forward progress — the
   /// caller's next_event may then short-circuit to `now` (exactly what

@@ -49,14 +49,6 @@ struct FpssStats {
   std::uint64_t idle_cycles = 0;   ///< nothing to issue
 
   bool operator==(const FpssStats&) const = default;
-
-  /// Apply `f` to every counter (fast-forward bulk replay; keep in sync
-  /// with the fields above).
-  template <typename F>
-  void for_each_counter(F&& f) {
-    f(issued), f(fp_compute), f(fmadd), f(fmul), f(flops), f(loads);
-    f(stores), f(stall_stream), f(stall_raw), f(stall_mem), f(idle_cycles);
-  }
 };
 
 /// How the FPU subsystem executes an instruction; fixed by the opcode.
@@ -133,7 +125,7 @@ class Fpss {
   // --- Simulation ----------------------------------------------------------
   void tick(cycle_t now);
 
-  /// Fast-forward hook: earliest future cycle at which this subsystem's
+  /// Watchdog horizon: earliest future cycle at which this subsystem's
   /// tick can differ from the one just performed, or at which idle(now)
   /// / pop_int_writeback(now) change answers (both are sampled by the
   /// core and the quiescence check every cycle). External wake-ups (lane
@@ -161,8 +153,6 @@ class Fpss {
   void set_freg(unsigned idx, double v) { fregs_[idx] = v; }
 
   const FpssStats& stats() const { return stats_; }
-  /// Fast-forward replay hook (bulk counter credit); not for general use.
-  FpssStats& mutable_stats() { return stats_; }
   void reset_stats() { stats_ = {}; }
 
   /// Timeline hook: FREP hardware-loop slices (trace/).

@@ -6,6 +6,7 @@
 #include "common/bitutil.hpp"
 #include "common/log.hpp"
 #include "core/compile.hpp"
+#include "core/engine.hpp"
 
 namespace issr::core {
 
@@ -84,22 +85,11 @@ CcSimResult CcSim::run(cycle_t max_cycles) {
   std::optional<CompiledExec> exec;
   if (trace_sink_ == nullptr) exec.emplace(*cc_, *memory_);
   CompiledExec* const cx = exec ? &*exec : nullptr;
-  // Idle-cycle fast-forward (run_engine in core/engine.hpp): when every
-  // unit reports no event before a future horizon — memory response
-  // maturing, scoreboard/pipeline timer expiry, FPU-subsystem drain
-  // completing — the engine measures one real wait tick and replays the
-  // remaining span arithmetically. Exact by construction.
+  // One serial engine loop (core/engine.hpp), advancing through the
+  // fused executor's bursts where it applies.
   struct Units {
     CcSim& s;
     CompiledExec* cx;
-    void tick(cycle_t now) {
-      if (cx != nullptr) {
-        if (cx->try_tick(now)) return;
-        cx->before_unfused_tick();
-      }
-      s.memory_->tick(now);
-      s.cc_->tick(now);
-    }
     /// Engine loop-top hook: burst through consecutive fused cycles
     /// without returning for the per-cycle done()/next_event() scans.
     /// The skipped checks are exactly those an unfused run answers
@@ -107,10 +97,9 @@ CcSimResult CcSim::run(cycle_t max_cycles) {
     /// stays false) and every burst-internal cycle made progress (so the
     /// horizon would have been `now`). The burst hands back to the
     /// engine at the first no-progress cycle — with every per-unit
-    /// next_event hook exact and the bypass slots empty, the ordinary
-    /// fast-forward and watchdog logic proceed unchanged — and at the
-    /// cycle budget, and falls through to one unfused tick when the
-    /// fused preconditions fail.
+    /// next_event hook exact and the bypass slots empty, the watchdog
+    /// proceeds unchanged — and at the cycle budget, and falls through
+    /// to one unfused tick when the fused preconditions fail.
     cycle_t tick_span(cycle_t now, cycle_t limit) {
       if (cx != nullptr) {
         const cycle_t n = cx->fused_span(now, limit);
@@ -133,23 +122,14 @@ CcSimResult CcSim::run(cycle_t max_cycles) {
       const cycle_t me = s.memory_->next_event();
       return me < ce ? me : ce;
     }
-    void visit_counters(const CounterVisitor& f) {
-      s.cc_->visit_wait_counters(f);
-    }
-    void after_replay() {
-      if (cx != nullptr) cx->after_replay();
-      s.cc_->resync_account();
-    }
   };
-  const EngineRun er =
-      run_engine(Units{*this, cx}, max_cycles, config_.fast_forward);
+  const EngineRun er = run_engine(Units{*this, cx}, max_cycles);
   const cycle_t now = er.cycles;
   // A run can stop with a lane's final bypassed store still undelivered;
   // materialize it so the port drain below serves it (the unfused
   // path has the same final-cycle store pending at the port).
   if (cx != nullptr) cx->flush();
   CcSimResult result;
-  result.ff_skipped = er.skipped;
   if (er.stop != EngineStop::kDone) {
     result.aborted = true;
     sim::Fault& f = result.fault;

@@ -12,7 +12,6 @@
 #include "common/arena.hpp"
 #include "common/types.hpp"
 #include "core/cc.hpp"
-#include "core/engine.hpp"
 #include "isa/program.hpp"
 #include "mem/ideal_mem.hpp"
 #include "sim/fault.hpp"
@@ -28,11 +27,6 @@ struct CcSimConfig {
   cycle_t mem_latency = 1;  ///< ideal data memory response latency
   /// Base of the staged-data region (mirrors the cluster TCDM window).
   addr_t data_base = 0x1000'0000;
-  /// Skip provably idle cycle stretches in run() (exact: identical
-  /// cycles, counters, buckets, and results either way — see
-  /// core/engine.hpp). Defaults from the process-wide engine option so
-  /// --no-fast-forward reaches every construction site.
-  bool fast_forward = engine_fast_forward_default();
   /// When non-null, simulated-memory pages come from this arena instead
   /// of the heap (see common/arena.hpp; purely observational — simulated
   /// behaviour is identical). The arena must outlive the sim and must
@@ -43,8 +37,7 @@ struct CcSimConfig {
 /// Result of a completed run.
 struct CcSimResult {
   cycle_t cycles = 0;
-  /// Simulated cycles the engine fast-forwarded instead of ticking
-  /// (diagnostic; 0 when fast_forward is off or never engaged).
+  /// Inert (always 0): kept only for perfbench, see ROADMAP item 6.
   cycle_t ff_skipped = 0;
   /// True iff the run ended before the CC went quiescent (cycle budget
   /// exhausted or the no-progress watchdog fired); the counters then

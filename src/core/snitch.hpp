@@ -59,15 +59,6 @@ struct SnitchStats {
   std::uint64_t stall_cfg = 0;      ///< streamer shadow config full
 
   bool operator==(const SnitchStats&) const = default;
-
-  /// Apply `f` to every counter (fast-forward bulk replay; keep in sync
-  /// with the fields above).
-  template <typename F>
-  void for_each_counter(F&& f) {
-    f(cycles), f(issued), f(loads), f(stores), f(branches);
-    f(taken_branches), f(offloads), f(stall_raw), f(stall_offload);
-    f(stall_mem), f(stall_sync), f(stall_barrier), f(stall_cfg);
-  }
 };
 
 class SnitchCore {
@@ -96,7 +87,7 @@ class SnitchCore {
 
   void tick(cycle_t now);
 
-  /// Fast-forward hook: earliest future cycle at which this core's tick
+  /// Watchdog horizon: earliest future cycle at which this core's tick
   /// can differ from the tick it just performed, absent external stimulus
   /// (memory responses, FPSS writebacks, barrier release — those are
   /// covered by the other units' hooks). Returns `now` when the last tick
@@ -109,8 +100,6 @@ class SnitchCore {
   }
 
   const SnitchStats& stats() const { return stats_; }
-  /// Fast-forward replay hook (bulk counter credit); not for general use.
-  SnitchStats& mutable_stats() { return stats_; }
   void reset_stats() { stats_ = {}; }
 
   /// Timeline hook: barrier-wait slices and a halt marker (trace/).

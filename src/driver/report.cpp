@@ -222,18 +222,15 @@ std::string results_to_json(const std::vector<ScenarioResult>& results) {
   // and metrics field; the reserve makes growth a no-op for typical
   // sweeps.
   out.reserve(512 + 1400 * results.size());
-  out += "{\n  \"schema\": \"issr_run.results.v6\",\n";
+  out += "{\n  \"schema\": \"issr_run.results.v7\",\n";
   // Engine provenance: static build facts only — the revision, the
-  // build type, LTO, and the compiled-in fast-forward default. Runtime
-  // knobs (--no-fast-forward, --jobs, caching) are deliberately absent:
-  // result documents stay a pure function of the scenario matrix, and CI
-  // byte-diffs them across every runtime configuration.
+  // build type and LTO. Runtime knobs (--jobs, caching) are deliberately
+  // absent: result documents stay a pure function of the scenario
+  // matrix, and CI byte-diffs them across every runtime configuration.
   out += "  \"engine\": {\"version\": \"" +
          trace::json_escape(engine_version()) + "\", \"build_type\": \"" +
          trace::json_escape(engine_build_type()) + "\", \"lto\": " +
-         (engine_build_lto() ? "true" : "false") +
-         ", \"fast_forward_default\": " +
-         (engine_build_fast_forward_default() ? "true" : "false") + "},\n";
+         (engine_build_lto() ? "true" : "false") + "},\n";
   out += "  \"results\": [";
   const auto eff = scaling_efficiencies(results);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -297,7 +294,7 @@ double paper_util_reference(kernels::Variant v, sparse::IndexWidth w) {
 Table perf_report_table(const std::vector<ScenarioResult>& results) {
   Table t("perf report (bottleneck diagnosis per scenario)");
   t.set_header({"scenario", "FPU util", "paper ref", "vs ref", "bottleneck",
-                "frac", "NoC link", "TCDM confl", "sys thr", "lockstep"});
+                "frac", "NoC link", "TCDM confl"});
   for (const auto& r : results) {
     // Dominant stall bucket: the largest non-useful-work bucket — where
     // this scenario's cycles actually went.
@@ -317,23 +314,11 @@ Table perf_report_table(const std::vector<ScenarioResult>& results) {
     const double util = r.metrics.value("util_fpu");
     const double ref =
         paper_util_reference(r.scenario.variant, r.scenario.width);
-    // Parallel-System columns: thread count the run used and the
-    // fraction of simulated cycles that had to execute in rotating-order
-    // lockstep (the engine's contention-bound floor — 1.00 means the
-    // quanta collapsed and host parallelism bought nothing). Serial runs
-    // show "-": the split only exists when the parallel engine ran.
-    const bool par_ran = r.par.host_threads > 1;
-    const double lockstep =
-        r.cycles > 0 ? static_cast<double>(r.par.lockstep_cycles) /
-                           static_cast<double>(r.cycles)
-                     : 0.0;
     t.add_row({r.scenario.name(), fmt_f(util), fmt_f(ref, 2),
                fmt_f(ref > 0.0 ? util / ref : 0.0, 2),
                trace::to_string(worst), fmt_f(r.stalls.fraction(worst)),
                fmt_f(r.metrics.value("util_noc_link")),
-               fmt_f(r.metrics.value("tcdm_conflict_rate")),
-               par_ran ? std::to_string(r.par.host_threads) : "-",
-               par_ran ? fmt_f(lockstep) : "-"});
+               fmt_f(r.metrics.value("tcdm_conflict_rate"))});
   }
   return t;
 }

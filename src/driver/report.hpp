@@ -25,7 +25,9 @@
 // the run completed) after `ok`, plus — JSON only, faulted rows only — a
 // nested `fault_detail` object with the diagnostic payload (message,
 // detection cycle, last next_event horizon, per-hart PCs, barrier
-// state). The full schema is documented in docs/RESULTS_SCHEMA.md.
+// state); v7 drops `fast_forward_default` from the engine header (the
+// engine has no fast-forward any more). The full schema is documented in
+// docs/RESULTS_SCHEMA.md.
 #pragma once
 
 #include <string>

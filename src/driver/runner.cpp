@@ -186,13 +186,11 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts,
     if (clusters > 1) {
       // Hierarchical system: `clusters` clusters of `cores` workers
       // around the shared bandwidth-limited main memory.
-      const SysTuning tuning{s.noc_links, s.noc_latency, s.steal,
-                             opts.sys_threads};
+      const SysTuning tuning{s.noc_links, s.noc_latency, s.steal};
       const auto r = run_csrmv_sys(s.variant, s.width, clusters, cores, a, x,
                                    sink.get(), /*validate=*/true, aids,
                                    tuning);
       out.ok = r.ok;
-      out.par = r.sys.system.par;
       out.cycles = r.sys.system.cycles;
       out.fpu_util = r.sys.system.fpu_util();
       out.macs = r.sys.system.total_macs();

@@ -74,10 +74,7 @@ struct SysTuning {
   unsigned noc_links = 1;    ///< link beats/cycle per cluster, 0 = unlimited
   unsigned noc_latency = 4;  ///< one-way NoC link latency in cycles
   bool steal = true;         ///< dynamic inter-cluster work stealing
-  /// Host threads for the parallel System engine (system/par_engine.hpp):
-  /// 0 = auto (min(clusters, hardware threads)), 1 = serial. Unlike the
-  /// other members this knob is purely host-side — simulated results are
-  /// bitwise identical at every value; only wall-clock moves.
+  /// Inert: kept only for perfbench, see ROADMAP item 6.
   unsigned sys_threads = 1;
 };
 

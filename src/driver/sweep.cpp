@@ -95,7 +95,7 @@ struct alignas(64) WorkerDeque {
 
 }  // namespace
 
-double estimated_cost(const Scenario& s, unsigned sys_threads) {
+double estimated_cost(const Scenario& s) {
   // Expected simulated core-cycles, weighted by the relative host cost
   // of a simulated cycle on each engine. Exactness is irrelevant — the
   // scheduler only needs heavy cluster/BASE runs sorted ahead of light
@@ -130,14 +130,6 @@ double estimated_cost(const Scenario& s, unsigned sys_threads) {
     if (clusters > 1.0 && s.family == sparse::MatrixFamily::kPowerLaw) {
       cycles *= 2.0;
     }
-    // The parallel System engine spreads those core-cycles over
-    // min(clusters, sys_threads) host threads, so the *wall* cost this
-    // ordering models shrinks by that factor (Phase-P dominates on the
-    // compute-heavy runs the LPT ordering exists for; the lockstep floor
-    // only makes this an optimistic divisor, which ordering tolerates).
-    if (clusters > 1.0 && sys_threads > 1) {
-      cycles /= std::min(clusters, static_cast<double>(sys_threads));
-    }
   }
   return cycles;
 }
@@ -162,19 +154,7 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
 
   // Reps re-simulate; they must not re-write trace files (two reps of
   // one scenario may run concurrently, and the rep-0 file is complete).
-  // --sys-threads auto resolves here against the shared host-thread
-  // budget: `workers` sweep threads each driving a parallel System run
-  // must not oversubscribe the machine, so auto gets hw/workers threads
-  // per run. An explicit request is honored as given (results are
-  // bitwise identical either way — oversubscription only costs wall
-  // clock, and CI uses an explicit count to force the parallel engine
-  // on small machines).
-  RunOptions opts = spec.options;
-  if (opts.sys_threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    opts.sys_threads = std::max(1u, hw / workers);
-  }
+  const RunOptions& opts = spec.options;
   RunOptions rep_opts = opts;
   rep_opts.trace_dir.clear();
 
@@ -228,7 +208,7 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
   // the heaviest scenarios start immediately on distinct workers.
   std::vector<double> cost(n);
   for (std::size_t i = 0; i < n; ++i) {
-    cost[i] = estimated_cost(spec.scenarios[i], opts.sys_threads);
+    cost[i] = estimated_cost(spec.scenarios[i]);
   }
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
@@ -408,33 +388,6 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
       busy_us += static_cast<std::uint64_t>(run_us);
       reg.add("host_runs", 1);
       reg.record("host_run_us", run_us);
-      // Parallel-System engine telemetry (host_sys_* namespace): only
-      // runs that actually took the parallel path contribute, so a
-      // serial sweep's --metrics document is byte-identical to
-      // pre-parallel output. Observational like everything else here —
-      // the result documents never read these.
-      if (r.par.host_threads > 1) {
-        reg.observe_max("host_sys_threads",
-                        static_cast<double>(r.par.host_threads));
-        reg.add("host_sys_rounds", r.par.rounds);
-        reg.add("host_sys_lockstep_cycles", r.par.lockstep_cycles);
-        reg.add("host_sys_parallel_ticks", r.par.parallel_ticks);
-        reg.add("host_sys_ff_credited", r.par.ff_credited);
-        reg.add("host_sys_barrier_wait_us", r.par.barrier_wait_us);
-        // Quantum-length histogram, log2 bins: bucket i of the engine's
-        // power-of-two histogram lands at x = i. Bulk-merged through the
-        // Entry (count = quanta, sum = cycles those quanta advanced)
-        // because the per-sample recorder would walk millions of quanta.
-        auto& h = reg.histogram(
-            "host_sys_quantum_log2", 0.0,
-            static_cast<double>(system::ParStats::kQuantumBuckets),
-            system::ParStats::kQuantumBuckets);
-        for (unsigned b = 0; b < system::ParStats::kQuantumBuckets; ++b) {
-          h.buckets[b] += r.par.quantum_hist[b];
-        }
-        h.count += r.par.quantum_count;
-        h.sum += static_cast<double>(r.par.quantum_cycles);
-      }
       // Rep-0 wall time lands at the scenario's index: exactly one task
       // writes each slot, so no lock is needed (same argument as
       // rep0_print above).

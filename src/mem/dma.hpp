@@ -15,7 +15,7 @@
 // main memory only reports completion `link_latency` cycles after its
 // final beat — the completion notification has to cross the NoC. Pending
 // delayed completions count as busy() and are exposed through
-// next_completion() so the idle fast-forward can never skip over one.
+// next_completion(), which bounds the cluster's event horizon.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +71,8 @@ class Dma {
                 std::int64_t src_stride);
 
   /// True while any work is outstanding: queued jobs *or* completions
-  /// still in flight across the NoC. Controllers and the fast-forward
-  /// engine must treat a latency-delayed completion as activity.
+  /// still in flight across the NoC. Controllers and the no-progress
+  /// watchdog must treat a latency-delayed completion as activity.
   bool busy() const {
     return transferring() || !in_.pending.empty() || !out_.pending.empty();
   }
@@ -81,9 +81,8 @@ class Dma {
     return !in_.jobs.empty() || !out_.jobs.empty();
   }
   /// Earliest cycle a delayed completion matures, or kCycleNever. The
-  /// cluster's next_event() must bound its skip quantum by this so the
-  /// engine cannot fast-forward past a completion the controller is
-  /// polling for.
+  /// cluster's next_event() is bounded by it, so a cluster waiting only
+  /// on a maturing completion never reads as wedged.
   cycle_t next_completion() const {
     cycle_t e = kCycleNever;
     if (!in_.pending.empty()) e = in_.pending.front();

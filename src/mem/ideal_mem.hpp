@@ -30,7 +30,7 @@ class IdealMemory {
   /// responses. Must run before requesters tick.
   void tick(cycle_t now);
 
-  /// Fast-forward hook: earliest cycle any port changes state on its own
+  /// Watchdog horizon: earliest cycle any port changes state on its own
   /// (kCycleNever when every port is drained and idle).
   cycle_t next_event() const;
 

@@ -5,11 +5,9 @@
 namespace issr::mem {
 
 void Interconnect::begin_cycle(cycle_t now) {
-  // Budgets are per-cycle; begin_cycle must never be observable beyond
-  // that, because the host-parallel engine (system/par_engine.hpp) only
-  // calls it for coordinated cycles: a cycle in which no cluster requests
-  // a beat must behave identically whether or not it was begun. The
-  // monotonicity assert is the cheap canary for an ordering bug there.
+  // Budgets are per-cycle: the System begins every cycle, in order, before
+  // it ticks any cluster. The monotonicity assert is the cheap canary for
+  // an ordering bug there.
   assert(now >= last_begin_ && "interconnect cycles must begin in order");
   last_begin_ = now;
   for (auto& link : links_) {
@@ -77,10 +75,7 @@ void Interconnect::deny(Link& link, LinkStats& st, Dir dir, cycle_t now) {
     ++st.denied_out;
   }
   // Slice closing is driven by the event stream itself (the next denial
-  // after a quiet gap, or close_trace), never by the begin_cycle cadence:
-  // the serial engine begins every non-skipped cycle while the parallel
-  // engine begins only coordinated ones, and trace bytes must not depend
-  // on which engine ran. The emitted end timestamp is the same either way.
+  // after a quiet gap, or close_trace), never by the begin_cycle cadence.
   if (link.slice_open && link.last_denied + 1 < now) {
     link.trace.end(link.last_denied + 1, "contention");
     link.slice_open = false;

@@ -134,7 +134,7 @@ class MemPort final {
   /// Charge one ungranted-wait cycle (arbitration loss / DMA bank claim).
   void note_stalled() { ++stats_.stall_cycles; }
 
-  /// Fast-forward hook: the earliest cycle at which this port can change
+  /// Watchdog horizon: the earliest cycle at which this port can change
   /// requester-visible state on its own. A pending request or an already
   /// matured response means "right now" (returns 0, which any current
   /// cycle exceeds); otherwise the earliest in-flight maturity;

@@ -84,7 +84,7 @@ class Tcdm {
   const TcdmStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Fast-forward hook: earliest cycle any port changes state on its own
+  /// Watchdog horizon: earliest cycle any port changes state on its own
   /// (kCycleNever when every port is drained and idle).
   cycle_t next_event() const;
 

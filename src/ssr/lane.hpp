@@ -39,14 +39,6 @@ struct LaneStats {
   std::uint64_t reg_starved_cycles = 0;  ///< read attempted, FIFO empty
 
   bool operator==(const LaneStats&) const = default;
-
-  /// Apply `f` to every counter (fast-forward bulk replay; keep in sync
-  /// with the fields above).
-  template <typename F>
-  void for_each_counter(F&& f) {
-    f(jobs_started), f(data_reqs), f(idx_word_reqs), f(elems_read);
-    f(elems_written), f(port_mux_conflicts), f(reg_starved_cycles);
-  }
 };
 
 struct LaneParams {
@@ -155,7 +147,7 @@ class Lane {
   /// shortcut; identical to next_event(now) == now).
   bool advanced_last_tick() const { return advanced_tick_; }
 
-  /// Fast-forward hook: `now` when the last tick made progress (consumed
+  /// Watchdog horizon: `now` when the last tick made progress (consumed
   /// a response, serialized an index, issued a request), else kCycleNever
   /// — every other lane wake-up is external (a memory response maturing,
   /// the FPU subsystem popping/pushing the register file, a CSR job
@@ -165,8 +157,6 @@ class Lane {
   }
 
   const LaneStats& stats() const { return stats_; }
-  /// Fast-forward replay hook (bulk counter credit); not for general use.
-  LaneStats& mutable_stats() { return stats_; }
   void reset_stats() { stats_ = {}; }
 
   /// Timeline hook: one slice per stream job (trace/).

@@ -57,7 +57,7 @@ class PortHub {
   mem::MemPort& port() { return *port_; }
   const mem::MemPort& port() const { return *port_; }
 
-  /// Routed responses not yet popped by their client (fast-forward hook:
+  /// Routed responses not yet popped by their client (watchdog horizon:
   /// nonzero means a client will act next tick).
   bool has_queued() const { return queued_ != 0; }
 

@@ -67,7 +67,7 @@ class Streamer {
 
   void tick(cycle_t now);
 
-  /// Fast-forward hook: min over the lanes' next_event.
+  /// Watchdog horizon: min over the lanes' next_event.
   cycle_t next_event(cycle_t now) const {
     cycle_t e = kCycleNever;
     for (const auto& l : lanes_) {

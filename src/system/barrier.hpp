@@ -19,9 +19,8 @@
 //
 // Sense-reversing via generation counters, so it is reusable any number
 // of times. release_hint() exposes the already-determined release cycle
-// of a completed generation, which the System's lookahead uses to
-// fast-forward barrier waits (cluster/cluster.hpp,
-// set_controller_idle_until).
+// of a completed generation; a parked controller reports it as its
+// watchdog horizon (cluster/cluster.hpp, set_controller_idle_until).
 #pragma once
 
 #include <cassert>
@@ -62,7 +61,6 @@ class SysBarrier {
   /// for `c`.
   void arrive(unsigned c, cycle_t now, std::uint64_t operand = 0) {
     if (target_[c] != 0) return;  // already arrived, still waiting
-    ++epoch_;
     target_[c] = gen_ + 1;
     accum_ += operand;
     if (++arrived_ == n_) {
@@ -96,7 +94,7 @@ class SysBarrier {
     return false;
   }
 
-  /// Lookahead hint for a cluster parked in released()-polling: the cycle
+  /// Watchdog hint for a cluster parked in released()-polling: the cycle
   /// its release becomes observable if its generation has completed, else
   /// kCycleNever (the release time is decided by a future arrival of some
   /// *other* cluster, whose own activity keeps the system hot).
@@ -112,13 +110,6 @@ class SysBarrier {
 
   /// Clusters currently parked in the open generation (fault diagnostics).
   unsigned waiting() const { return arrived_; }
-
-  /// Mutation epoch: bumps on every effective arrive(). The host-parallel
-  /// System engine (system/par_engine.hpp) parks a cluster whose release
-  /// cycle is still undecided (release_hint == kCycleNever) and re-probes
-  /// it only when this counter moves — the only event that can decide the
-  /// release is another cluster's arrival.
-  std::uint64_t epoch() const { return epoch_; }
 
   /// Deterministic fault injection: swallow the next release broadcast so
   /// the barrier deadlocks (see sim/fault.hpp). Irreversible for the run.
@@ -137,7 +128,6 @@ class SysBarrier {
   // previous release (each must observe it before re-arriving).
   cycle_t release_at_ = 0;
   bool drop_next_release_ = false;  ///< injected deadlock (fault testing)
-  std::uint64_t epoch_ = 0;         ///< effective-arrive count (see epoch())
   std::uint64_t accum_ = 0;    ///< running reduction of the open generation
   std::uint64_t reduced_ = 0;  ///< reduction of the last completed generation
   trace::Tracer trace_;

@@ -17,8 +17,8 @@ namespace {
 /// once a phase's tiles have all written back, arrive at the system
 /// barrier; on release start the next phase, or mark the controller done
 /// after the last. Clusters with an empty shard only arrive, once per
-/// phase (no dense block, no tiles). Fast-forward contract: after
-/// `passed_` every invocation is an inert no-op.
+/// phase (no dense block, no tiles). After `passed_` every invocation is
+/// a no-op.
 class SysShardController {
  public:
   SysShardController(std::shared_ptr<ShardController> shard, SysBarrier& bar,
@@ -37,8 +37,8 @@ class SysShardController {
       return;
     }
     if (!bar_->released(idx_, now)) {
-      // Parked on the barrier: declare the wake-up cycle so the system
-      // engine can fast-forward the release latency.
+      // Parked on the barrier: declare the wake-up cycle (kCycleNever
+      // while the release is undecided) for the no-progress watchdog.
       cl.set_controller_idle_until(bar_->release_hint(idx_));
       return;
     }
@@ -52,22 +52,6 @@ class SysShardController {
       arrived_ = true;
       bar_->arrive(idx_, now);
     }
-  }
-
-  /// Seam probe (Cluster::set_controller_seam_probe): earliest cycle the
-  /// next tick may touch the SysBarrier. A shard's phase is bounded by
-  /// local DMA completions (the finish->arrive tick is one), so it probes
-  /// kCycleNever; an empty shard arrives at its very first tick and
-  /// re-arrives inside each release tick; once arrived, the lane holds
-  /// until the release cycle is decided and then seams exactly at it.
-  cycle_t seam_probe(cycle_t now) const {
-    if (passed_) return kCycleNever;
-    if (arrived_) {
-      const cycle_t hint = bar_->release_hint(idx_);
-      return hint == kCycleNever ? kCycleHold : hint;
-    }
-    if (shard_) return kCycleNever;
-    return now;
   }
 
  private:
@@ -176,12 +160,9 @@ TileRun run_tile_system(const sparse::CsrMatrix& a, const SystemConfig& cfg,
   const auto wire = [&sys](unsigned c, auto ctl) {
     sys.set_controller(c,
                        [ctl](Cluster& cl, cycle_t now) { (*ctl)(cl, now); });
-    sys.cluster(c).set_controller_seam_probe(
-        [ctl](cycle_t now) { return ctl->seam_probe(now); });
-    // Not-done from the start: the seam probe must already be consulted
-    // for the first tick (which can issue a queue claim or arrive at the
-    // barrier), not only after the controller's own tick flips the done
-    // flag.
+    // Not-done from the start: the controller marks itself done after its
+    // last phase, and Cluster::done must not read the cluster as finished
+    // before then.
     sys.cluster(c).set_controller_done(false);
   };
   for (unsigned c = 0; c < n; ++c) {

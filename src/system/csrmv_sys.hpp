@@ -120,8 +120,7 @@ struct TileRun {
 /// Run one tile kernel on the System: the static partition or (steal &&
 /// clusters > 1) one LPT-ordered steal plan with shared worker images and
 /// per-phase claim queues; stage the operands, wire every cluster's
-/// controller and seam probe, run, and read y (rows x num_cols doubles)
-/// back into `y`.
+/// controller, run, and read y (rows x num_cols doubles) back into `y`.
 TileRun run_tile_system(const sparse::CsrMatrix& a, const SystemConfig& cfg,
                         const TileKernel& k, bool steal, double* y);
 

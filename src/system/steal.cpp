@@ -191,8 +191,8 @@ void StealController::operator()(cluster::Cluster& cl, cycle_t now) {
       }
       start_phase(cl);
     } else {
-      // Parked on the barrier: declare the wake-up cycle so the system
-      // engine can fast-forward the release latency.
+      // Parked on the barrier: declare the wake-up cycle (kCycleNever
+      // while the release is undecided) for the no-progress watchdog.
       cl.set_controller_idle_until(bar_->release_hint(idx_));
     }
     return;
@@ -312,22 +312,6 @@ void StealController::operator()(cluster::Cluster& cl, cycle_t now) {
       bar_->arrive(idx_, now);
     }
   }
-}
-
-cycle_t StealController::seam_probe(cycle_t now) const {
-  if (passed_) return kCycleNever;
-  if (!started_) return now;
-  if (arrived_) {
-    const cycle_t hint = bar_->release_hint(idx_);
-    return hint == kCycleNever ? kCycleHold : hint;
-  }
-  if (!phase_done_) {
-    const SysWorkQueue& q = (*queues_)[phase_];
-    if (q.outstanding(idx_)) return q.ready_at(idx_);
-    if (!exhausted_ && granted_.size() + busy_buffers() < 3) return now;
-    return kCycleNever;  // next capacity change hangs off a DMA event
-  }
-  return now;  // last-phase epilogue: the arrive tick is worker-paced
 }
 
 }  // namespace issr::system

@@ -153,16 +153,6 @@ class SysWorkQueue {
 
   bool outstanding(unsigned c) const { return pending_[c].active; }
 
-  /// Lookahead for the host-parallel System engine (system/par_engine.hpp):
-  /// the cycle cluster `c`'s outstanding claim first becomes deliverable —
-  /// poll() touches the NoC (an ingress link beat) from that cycle on, and
-  /// returns without any shared access before it — or kCycleNever when no
-  /// claim is outstanding. Reads only cluster `c`'s own pending slot, whose
-  /// fields are fixed at try_request() time.
-  cycle_t ready_at(unsigned c) const {
-    return pending_[c].active ? pending_[c].ready : kCycleNever;
-  }
-
   /// Poll for cluster `c`'s grant. Returns true once the reply has both
   /// arrived (request hop + serve slot + reply hop) and claimed an
   /// ingress link beat for its delivery; `item` is then the granted
@@ -223,8 +213,7 @@ StealWorkerImage build_steal_worker(const sparse::CsrMatrix& a,
 /// to the workers in grant order through the mailboxes, write its y slice
 /// back, and arrive at the inter-cluster barrier once the queue is
 /// drained. Before the final phase's arrival it dispatches the halt
-/// epilogue. Fast-forward contract: after the final release every
-/// invocation is an inert no-op.
+/// epilogue. After the final release every invocation is a no-op.
 class StealController {
  public:
   StealController(const cluster::McTilePlan& plan,
@@ -235,17 +224,6 @@ class StealController {
                   unsigned workers);
 
   void operator()(cluster::Cluster& cl, cycle_t now);
-
-  /// Seam probe (Cluster::set_controller_seam_probe). Shared touches are
-  /// the active phase's claim queue (try_request at any tick with a free
-  /// claim slot, poll from the grant's precomputed delivery cycle) and the
-  /// SysBarrier. Capacity openings (a writeback completing, a grant
-  /// landing) happen in coordinated ticks and are visible to the probe
-  /// before the next tick, so "capacity available -> now" never lags a
-  /// request by a cycle. A drained phase arrives inside the tick that
-  /// drains it, except in the final phase, whose epilogue dispatch (and
-  /// arrive) ticks are worker-paced, so that stretch runs coordinated.
-  cycle_t seam_probe(cycle_t now) const;
 
  private:
   enum class BufState { kIdle, kLoading, kReady, kWritingBack };

@@ -33,9 +33,6 @@ System::System(
     ClusterConfig cc = config_.cluster;
     cc.shared_main = &main_;
     cc.arena = config_.arena;
-    // The System's engine owns fast-forward; a cluster's own run() is
-    // never invoked, so its flag is irrelevant, but keep them coherent.
-    cc.fast_forward = config_.fast_forward;
     clusters_.push_back(std::make_unique<Cluster>(
         cc, std::move(programs_per_cluster[c]), &compiled));
     clusters_.back()->dma().set_noc(&noc_, c);
@@ -44,13 +41,17 @@ System::System(
 }
 
 void System::attach_trace(trace::TraceSink& sink) {
-  ordered_ = std::make_unique<OrderedSink>(sink);
   for (unsigned c = 0; c < num_clusters(); ++c) {
-    clusters_[c]->attach_trace(*ordered_, "c" + std::to_string(c) + ".");
+    // Appended piecewise: GCC 12 misreads `"c" + std::string` as an
+    // overlapping memcpy (-Wrestrict) once it is inlined here.
+    std::string prefix = "c";
+    prefix += std::to_string(c);
+    prefix += '.';
+    clusters_[c]->attach_trace(sink, prefix);
   }
-  noc_.attach_trace(*ordered_);
-  barrier_.tracer().attach(*ordered_, ordered_->add_track("system", "barrier"));
-  trace_sink_ = ordered_.get();
+  noc_.attach_trace(sink);
+  barrier_.tracer().attach(sink, sink.add_track("system", "barrier"));
+  trace_sink_ = &sink;
 }
 
 SystemResult System::run(cycle_t max_cycles) {
@@ -58,7 +59,7 @@ SystemResult System::run(cycle_t max_cycles) {
   // which cluster's DMA claims a contended bank group (and which steal
   // request reaches the work queue) first in a cycle — a deterministic
   // function of the cycle number, so no cluster is statically favored
-  // and runs stay reproducible regardless of host parallelism.
+  // and runs stay reproducible.
   struct Units {
     System& s;
     void tick(cycle_t now) {
@@ -84,43 +85,13 @@ SystemResult System::run(cycle_t max_cycles) {
       }
       return horizon;
     }
-    void visit_counters(const core::CounterVisitor& f) {
-      for (auto& c : s.clusters_) c->visit_wait_counters(f);
-    }
-    void after_replay() {
-      for (auto& c : s.clusters_) c->resync_account();
-    }
   };
-  core::EngineRun er;
-  SystemResult result;
-  // Per-cluster fast-forward attribution handed to harvest. The serial
-  // engine only has the system-wide skip count; the parallel engine
-  // knows each lane's. Both are diagnostics, never part of result files.
-  std::vector<cycle_t> lane_skipped;
-  const unsigned eff =
-      resolve_host_threads(config_.host_threads, num_clusters());
-  // The parallel engine requires a strictly positive release latency: a
-  // zero-latency SysBarrier release is observable in its own arrival
-  // cycle, an ordering only the serial rotation reproduces.
-  if (eff >= 2 && num_clusters() >= 2 && barrier_.release_latency() > 0) {
-    std::vector<Cluster*> lanes;
-    lanes.reserve(clusters_.size());
-    for (auto& c : clusters_) lanes.push_back(c.get());
-    ParOutcome po =
-        run_parallel(lanes, noc_, barrier_, max_cycles, config_.fast_forward,
-                     eff, ordered_.get());
-    er = po.run;
-    lane_skipped = std::move(po.lane_skipped);
-    result.par = po.stats;
-  } else {
-    er = core::run_engine(Units{*this}, max_cycles, config_.fast_forward);
-    lane_skipped.assign(num_clusters(), er.skipped);
-  }
+  const core::EngineRun er = core::run_engine(Units{*this}, max_cycles);
   const cycle_t now = er.cycles;
   const bool aborted = er.stop != core::EngineStop::kDone;
 
+  SystemResult result;
   result.cycles = now;
-  result.ff_skipped = er.skipped;
   result.aborted = aborted;
   result.compiled_programs = compiled_programs_;
   // The run is over (or truncated): lift the interconnect budgets so
@@ -128,8 +99,7 @@ SystemResult System::run(cycle_t max_cycles) {
   // then restore them — a System must stay configured as built.
   noc_.set_unlimited(true);
   for (unsigned c = 0; c < num_clusters(); ++c) {
-    result.clusters.push_back(
-        clusters_[c]->harvest(now, lane_skipped[c], aborted));
+    result.clusters.push_back(clusters_[c]->harvest(now, aborted));
     if (aborted) {
       result.clusters.back().fault =
           clusters_[c]->classify_stop(er.stop, now, er.last_horizon, c);

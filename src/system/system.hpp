@@ -9,16 +9,17 @@
 // clusters contend for one memory system.
 //
 // Simulation runs all clusters in lockstep system cycles through the same
-// fast-forward engine as the single-cluster path: a cycle resets the
-// interconnect's per-cycle budgets, then ticks every cluster in a
-// rotating order — the rotation is the NoC's arbiter, so no cluster is
-// statically favored at a contended link or bank group and runs stay
-// reproducible. Idle stretches are skipped only when every cluster is
-// provably idle; a controller parked on the inter-cluster barrier
-// declares its wake-up cycle (set_controller_idle_until), so barrier
-// waits fast-forward without ever skipping a NoC-delayed DMA completion.
+// serial engine as the single-cluster path (core/engine.hpp): a cycle
+// resets the interconnect's per-cycle budgets, then ticks every cluster
+// in a rotating order — the rotation is the NoC's arbiter, so no cluster
+// is statically favored at a contended link or bank group and runs stay
+// reproducible. A controller parked on the inter-cluster barrier declares
+// its wake-up cycle (set_controller_idle_until), kCycleNever while the
+// release is undecided, so a release that can never arrive stops the run
+// at the no-progress watchdog.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,7 +29,6 @@
 #include "mem/interconnect.hpp"
 #include "mem/main_mem.hpp"
 #include "system/barrier.hpp"
-#include "system/par_engine.hpp"
 
 namespace issr::system {
 
@@ -50,19 +50,17 @@ struct SystemConfig {
   /// the defaults give 8 clusters the flat model's 32-cycle release).
   cycle_t barrier_hop_latency = 8;
   unsigned barrier_fan_in = 4;
-  /// Skip provably idle cycle stretches (exact; see core/engine.hpp).
-  bool fast_forward = core::engine_fast_forward_default();
-  /// Host threads for the parallel System engine (system/par_engine.hpp):
-  /// each cluster advances on its own thread through provably
-  /// cluster-local cycles, with seam cycles executed in the serial
-  /// rotating order — results are bitwise identical at every setting.
-  /// 1 (the default — a library embedder must opt in to host threads)
-  /// runs the serial lockstep engine; 0 = auto (min(num_clusters,
-  /// hardware_concurrency)); clamped to num_clusters.
-  unsigned host_threads = 1;
   /// When non-null, backs the shared main memory and every cluster's
   /// TCDM pages (observational only; common/arena.hpp).
   Arena* arena = nullptr;
+};
+
+/// Inert (all zero): kept only for perfbench, see ROADMAP item 6.
+struct ParStats {
+  std::uint64_t rounds = 0;
+  std::uint64_t lockstep_cycles = 0;
+  std::uint64_t barrier_wait_us = 0;
+  void merge(const ParStats&) {}
 };
 
 /// Per-run system statistics: the per-cluster results (each covering the
@@ -71,7 +69,6 @@ struct SystemConfig {
 /// memory's totals; use the SystemResult fields for system-wide traffic.
 struct SystemResult {
   cycle_t cycles = 0;
-  cycle_t ff_skipped = 0;
   /// True iff the run ended before every cluster was done (cycle budget
   /// or no-progress watchdog); `fault` classifies the reason with the
   /// system-wide diagnostic snapshot (every hart's PC, SysBarrier
@@ -90,9 +87,7 @@ struct SystemResult {
   /// into busy fractions (beats granted / offered link capacity) without
   /// re-deriving the configuration.
   mem::InterconnectConfig noc_config;
-  /// Host-side statistics of the engine that ran (host_threads == 1 when
-  /// the serial engine did). Observational and host-dependent — surfaced
-  /// by --metrics / --perf-report, never serialized into result files.
+  /// Inert (always zero): kept only for perfbench, see ROADMAP item 6.
   ParStats par;
   /// Translations the workers ran on: one per distinct worker program
   /// object. Host-side, never serialized.
@@ -171,11 +166,6 @@ class System {
   SysBarrier barrier_;
   std::vector<std::unique_ptr<Cluster>> clusters_;
   std::size_t compiled_programs_ = 0;  ///< SystemResult::compiled_programs
-  /// Order-restoring interposer between the simulation and the user's
-  /// sink, created by attach_trace (null when untraced). Interposed for
-  /// serial runs too (where it is a transparent passthrough), so traced
-  /// bytes are independent of the engine choice by construction.
-  std::unique_ptr<OrderedSink> ordered_;
   /// Sink from attach_trace (null when untraced): run() emits one
   /// instant on a "system"/"watchdog" track when a run ends in a Fault.
   trace::TraceSink* trace_sink_ = nullptr;

@@ -237,28 +237,6 @@ TEST(Sweep, EstimatedCostModelsPowerLawShardSkew) {
   EXPECT_DOUBLE_EQ(estimated_cost(powerlaw), 2.0 * estimated_cost(uniform));
 }
 
-TEST(Sweep, EstimatedCostDividesByEffectiveSysThreads) {
-  Scenario s;
-  s.kernel = Kernel::kCsrmv;
-  s.rows = 2048;
-  s.cols = 1024;
-  s.density = 0.02;
-  s.cores = 8;
-  s.clusters = 8;
-  // The parallel System engine shrinks a multi-cluster run's wall-clock
-  // by min(clusters, threads); the LPT dispatch key must track that or
-  // a parallelized 8-cluster row hogs the front of the schedule it no
-  // longer deserves.
-  EXPECT_DOUBLE_EQ(estimated_cost(s, 4), estimated_cost(s) / 4.0);
-  EXPECT_DOUBLE_EQ(estimated_cost(s, 8), estimated_cost(s) / 8.0);
-  // Threads beyond the cluster count have no lanes to run: the divisor
-  // saturates at the cluster count.
-  EXPECT_DOUBLE_EQ(estimated_cost(s, 64), estimated_cost(s, 8));
-  // Single-cluster runs use the serial engine at every thread count.
-  s.clusters = 1;
-  EXPECT_DOUBLE_EQ(estimated_cost(s, 8), estimated_cost(s));
-}
-
 // --- Single-scenario execution ----------------------------------------------
 
 ScenarioMatrix tiny_matrix() {
@@ -393,7 +371,7 @@ std::vector<ScenarioResult> fake_results() {
 
 TEST(Report, JsonContainsSchemaAndFields) {
   const auto json = results_to_json(fake_results());
-  EXPECT_NE(json.find("\"schema\": \"issr_run.results.v6\""),
+  EXPECT_NE(json.find("\"schema\": \"issr_run.results.v7\""),
             std::string::npos);
   // v6 row-disposition columns ride on every row.
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);

@@ -1,10 +1,10 @@
 // Metrics & observability tests: snapshot merge algebra (associative,
 // commutative, gauge identity), harvest-time utilization invariants
 // (every util_*/_frac/_rate gauge in [0,1]; util_fpu is bitwise the
-// result's own fpu_util()), the results-v6 hard bar (result documents
+// result's own fpu_util()), the results hard bar (result documents
 // bytewise identical with host profiling and progress on or off, at any
 // worker count), host-engine metrics accounting, Prometheus rendering,
-// and the build-provenance pairing with the engine's runtime default.
+// and the v7 build-provenance header.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/version.hpp"
-#include "core/engine.hpp"
 #include "driver/hostprof.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
@@ -274,17 +273,22 @@ TEST(Prometheus, RendersTypedLabeledSeries) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-// --- Results schema v6 -------------------------------------------------------
+// --- Results schema v7 -------------------------------------------------------
 
-TEST(ResultsV6, CarriesEngineProvenanceAndMetrics) {
+TEST(ResultsV7, CarriesEngineProvenanceAndMetrics) {
   auto scenarios = mixed_scenarios();
   scenarios.resize(2);
   const auto outcome = sweep(scenarios, 1);
   const std::string json = driver::results_to_json(outcome.results);
-  EXPECT_NE(json.find("\"schema\": \"issr_run.results.v6\""),
+  EXPECT_NE(json.find("\"schema\": \"issr_run.results.v7\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"engine\""), std::string::npos);
-  EXPECT_NE(json.find("\"build_type\""), std::string::npos);
+  EXPECT_NE(json.find("\"engine\": {\"version\": \"" +
+                      engine_version() + "\", \"build_type\": \"" +
+                      engine_build_type() + "\", \"lto\": "),
+            std::string::npos);
+  EXPECT_EQ(json.find("fast_forward_default"), std::string::npos);
+  EXPECT_FALSE(engine_version().empty());
+  EXPECT_STRNE(engine_build_type(), "");
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"util_fpu\""), std::string::npos);
 
@@ -294,21 +298,7 @@ TEST(ResultsV6, CarriesEngineProvenanceAndMetrics) {
   EXPECT_NE(header.find("barrier_wait_frac"), std::string::npos);
 }
 
-// --- Build provenance --------------------------------------------------------
-
-TEST(Provenance, BuildFastForwardDefaultMatchesEngine) {
-  // src/common/version.cpp hardcodes the compiled-in default (the
-  // provenance header must not read runtime state — CI byte-diffs
-  // results across --no-fast-forward); this is the pairing guard its
-  // comment promises. If it fires, the engine's initializer changed
-  // without updating engine_build_fast_forward_default().
-  EXPECT_EQ(engine_build_fast_forward_default(),
-            core::engine_fast_forward_default());
-  EXPECT_FALSE(engine_version().empty());
-  EXPECT_STRNE(engine_build_type(), "");
-}
-
-TEST(ResultsV6, PaperReferenceAnchors) {
+TEST(ResultsV7, PaperReferenceAnchors) {
   EXPECT_EQ(driver::paper_util_reference(kernels::Variant::kBase,
                                          sparse::IndexWidth::kU32),
             0.11);

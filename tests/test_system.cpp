@@ -1,8 +1,7 @@
 // Multi-cluster system tests: the inter-cluster barrier's release
 // ordering and latency, the cost-balanced row partition, golden-reference
 // equality of the cross-cluster CsrMV/CsrMM kernels for every generator
-// family at 1/2/4/8 clusters, fast-forward on/off identity, shared-memory
-// bandwidth contention, worker images shared across clusters (one
+// family at 1/2/4/8 clusters, shared-memory bandwidth contention, worker images shared across clusters (one
 // translation per distinct program object), golden pins of both kernels'
 // cycles, stalls, tile owners and result bytes, the scale-out mix's cycles
 // at 1/2/4/8 clusters, and the driver integration (clusters axis: result
@@ -377,25 +376,6 @@ TEST(SystemCsrmv, FewerRowsThanClustersStillCorrect) {
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
 }
 
-TEST(SystemCsrmv, FastForwardIdentity) {
-  Rng rng(2104);
-  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 192, 160, 10);
-  const auto x = sparse::random_dense_vector(rng, a.cols());
-  SysCsrmvConfig cfg;
-  cfg.system.num_clusters = 4;
-  cfg.system.fast_forward = true;
-  const auto ff = run_csrmv_system(a, x, cfg);
-  cfg.system.fast_forward = false;
-  const auto ref = run_csrmv_system(a, x, cfg);
-  EXPECT_EQ(ff.system.cycles, ref.system.cycles);
-  EXPECT_EQ(ref.system.ff_skipped, 0u);
-  for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ff.y[i], ref.y[i]);
-  for (unsigned c = 0; c < 4; ++c) {
-    EXPECT_EQ(ff.system.clusters[c].total_stalls(),
-              ref.system.clusters[c].total_stalls());
-  }
-}
-
 TEST(SystemCsrmv, CyclesScaleDownWithClusterCount) {
   Rng rng(2105);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 512, 256, 48);
@@ -562,20 +542,6 @@ TEST(SystemCsrmm, NonPow2LeadingDimensionAndSingleColumn) {
   const auto b1 = sparse::random_dense_matrix(rng, a.cols(), 1);
   const auto r1 = run_csrmm_system(a, b1, cfg);
   EXPECT_TRUE(sparse::allclose(r1.y, sparse::ref_csrmm(a, b1), 1e-9, 1e-9));
-}
-
-TEST(SystemCsrmm, FastForwardIdentity) {
-  Rng rng(2204);
-  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 72, 64, 8);
-  const auto b = sparse::random_dense_matrix(rng, a.cols(), 8);
-  SysCsrmmConfig cfg;
-  cfg.system.num_clusters = 2;
-  cfg.system.fast_forward = true;
-  const auto ff = run_csrmm_system(a, b, cfg);
-  cfg.system.fast_forward = false;
-  const auto ref = run_csrmm_system(a, b, cfg);
-  EXPECT_EQ(ff.system.cycles, ref.system.cycles);
-  EXPECT_TRUE(sparse::allclose(ff.y, ref.y, 0.0, 0.0));
 }
 
 TEST(SystemCsrmm, ZeroRowsFinishWithoutFault) {
