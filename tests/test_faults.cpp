@@ -8,6 +8,7 @@
 // plan at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -557,6 +558,30 @@ TEST(SweepFaults, FailFastSkipsRemainingRows) {
     }
   }
   EXPECT_EQ(skipped, scenarios.size() - 1);
+
+  // One worker dispatches in stable descending estimated_cost order, so
+  // with every row faulting the one that ran is the costliest scenario.
+  std::vector<std::size_t> order(scenarios.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return driver::estimated_cost(scenarios[a]) >
+                            driver::estimated_cost(scenarios[b]);
+                   });
+  EXPECT_TRUE(out.results[order.front()].fault);
+
+  // Faulting a mid-cost row: exactly the rows ahead of it in that order
+  // ran (and passed), and every row behind it was skipped.
+  const std::size_t mid = order.size() / 2;
+  ASSERT_GT(mid, 0u);
+  const FaultPlan one = plan("fault@" + scenarios[order[mid]].name());
+  const auto cut =
+      sweep(scenarios, 1, &one, /*retries=*/0, /*fail_fast=*/true);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto& r = cut.results[order[k]];
+    const char* want = k < mid ? "ok" : k == mid ? "fault" : "skipped";
+    EXPECT_STREQ(driver::row_status(r), want) << r.scenario.name();
+  }
 }
 
 // --- v6 reporting ------------------------------------------------------------
