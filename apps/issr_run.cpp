@@ -71,9 +71,6 @@ Execution and output:
                      (throughput/determinism: reps must reproduce their
                      scenario's results exactly; reports stay one row per
                      scenario and are bytewise rep-invariant)
-  --no-asset-cache   rebuild every workload and kernel program per run
-                     instead of sharing them across the sweep (bisection
-                     aid; result files are bytewise identical either way)
   --out PREFIX       write PREFIX.json and PREFIX.csv     [issr_run_results]
   --trace DIR        write DIR/<scenario>.trace.json per scenario
                      (Chrome trace-event format; open in chrome://tracing
@@ -92,9 +89,9 @@ Execution and output:
                      result files are bytewise unaffected
   --profile-host FILE
                      write a Chrome trace of the host sweep engine
-                     itself (per-worker run slices, steal markers,
-                     dispatch/run/collect phases, wall-clock microsecond
-                     timestamps); result files are bytewise unaffected
+                     itself (per-worker run slices, dispatch/run/collect
+                     phases, wall-clock microsecond timestamps); result
+                     files are bytewise unaffected
   --progress         stderr-only heartbeat while the sweep runs
                      (done/total runs, percent by estimated cost,
                      aggregate MCPS, ETA); stdout and result files are
@@ -185,7 +182,6 @@ int main(int argc, char** argv) {
   bool stall_report = false;
   bool perf_report = false;
   bool progress = false;
-  bool asset_cache = true;
   std::string out_prefix = "issr_run_results";
   std::string metrics_path;
   std::string profile_host_path;
@@ -196,7 +192,6 @@ int main(int argc, char** argv) {
   parser.add_switch("--list-scenarios", [&] { list_only = true; });
   parser.add_alias("--list", "--list-scenarios");
   parser.add_alias("--dry-run", "--list-scenarios");
-  parser.add_switch("--no-asset-cache", [&] { asset_cache = false; });
   parser.add_switch("--fail-fast", [&] { spec.fail_fast = true; });
   parser.add_switch("--keep-going", [&] { spec.fail_fast = false; });
   parser.add_switch("--stall-report", [&] { stall_report = true; });
@@ -400,14 +395,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("issr_run: %zu scenarios, %u worker thread%s%s%s\n",
+  std::printf("issr_run: %zu scenarios, %u worker thread%s%s\n",
               scenarios.size(), jobs, jobs == 1 ? "" : "s",
-              spec.options.trace_dir.empty() ? "" : ", tracing enabled",
-              asset_cache ? "" : ", asset cache off");
+              spec.options.trace_dir.empty() ? "" : ", tracing enabled");
   spec.scenarios = scenarios;
   spec.jobs = jobs;
   spec.reps = reps;
-  spec.asset_cache = asset_cache;
   spec.progress = progress;
   if (!inject_plan.empty()) spec.options.inject = &inject_plan;
   std::unique_ptr<driver::HostProfiler> profiler;
@@ -418,26 +411,16 @@ int main(int argc, char** argv) {
   auto outcome = driver::run_sweep(spec);
   const auto& results = outcome.results;
   const auto& st = outcome.stats;
-  char cache_note[160];
-  if (asset_cache) {
-    std::snprintf(cache_note, sizeof cache_note,
-                  "%zu workload builds + %zu shared hits, %zu program "
-                  "builds + %zu shared hits",
-                  st.cache.workload_builds, st.cache.workload_hits,
-                  st.cache.program_builds, st.cache.program_hits);
-  } else {
-    // Nothing was shared: every run rebuilt its own assets locally.
-    std::snprintf(cache_note, sizeof cache_note,
-                  "asset cache off (every run rebuilt its assets)");
-  }
   std::printf(
       "sweep: %zu runs in %.2f s (%.2f simulated MCPS aggregate), "
-      "%s, %zu steals\n",
+      "%zu workload builds + %zu shared hits, %zu program builds + %zu "
+      "shared hits\n",
       st.runs, st.wall_seconds,
       st.wall_seconds > 0.0
           ? static_cast<double>(st.core_cycles) / st.wall_seconds / 1e6
           : 0.0,
-      cache_note, st.steals);
+      st.cache.workload_builds, st.cache.workload_hits,
+      st.cache.program_builds, st.cache.program_hits);
 
   driver::results_table(results).print();
   if (stall_report) driver::stall_table(results).print();

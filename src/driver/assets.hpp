@@ -6,9 +6,9 @@
 // Workloads are keyed by the parameters that feed their generators
 // (kernel, family, seed, shape, nnz/row); assembled programs are keyed by
 // (kernel, variant, width, staged-argument block). Both are pure
-// functions of their key, so sharing is exact: a sweep produces bytewise
-// identical result files with the cache on or off (--no-asset-cache
-// forces the rebuild-every-run path for bisection).
+// functions of their key, so sharing is exact: a sweep's result files
+// are bytewise identical to running each scenario alone through
+// run_scenario() with no cache (tests/test_sweep_engine.cpp).
 //
 // Thread safety: get-or-build runs under a per-key once-flag, so
 // concurrent workers requesting the same key build it once and everyone
@@ -66,7 +66,7 @@ struct Workload {
 };
 
 /// Build the workload for `key` from scratch (the cache's builder; also
-/// the --no-asset-cache path).
+/// what run_scenario() does when called without a cache).
 Workload build_workload(const WorkloadKey& key);
 
 /// Cache hit/miss counters. Increments and stats() reads all happen

@@ -30,28 +30,18 @@ const char* HostProfiler::intern(const std::string& name) {
 }
 
 void HostProfiler::record(std::uint32_t track, trace::Phase phase,
-                          const std::string& name, std::uint64_t value) {
+                          const std::string& name) {
   const std::uint64_t ts = now_us();
   std::lock_guard<std::mutex> lock(mu_);
-  sink_.record({ts, track, phase, intern(name), value});
+  sink_.record({ts, track, phase, intern(name), 0});
 }
 
 void HostProfiler::begin(std::uint32_t track, const std::string& name) {
-  record(track, trace::Phase::kBegin, name, 0);
+  record(track, trace::Phase::kBegin, name);
 }
 
 void HostProfiler::end(std::uint32_t track, const std::string& name) {
-  record(track, trace::Phase::kEnd, name, 0);
-}
-
-void HostProfiler::instant(std::uint32_t track, const std::string& name,
-                           std::uint64_t value) {
-  record(track, trace::Phase::kInstant, name, value);
-}
-
-void HostProfiler::counter(std::uint32_t track, const std::string& name,
-                           std::uint64_t value) {
-  record(track, trace::Phase::kCounter, name, value);
+  record(track, trace::Phase::kEnd, name);
 }
 
 std::uint64_t HostProfiler::recorded() const {

@@ -2,7 +2,7 @@
 // simulator's own trace subsystem (trace/ring.hpp + trace/chrome.hpp),
 // pointed at wall-clock time instead of simulated cycles. The sweep
 // engine records one timeline track per worker (run slices named by
-// scenario, steal instants) plus a phases track, and --profile-host
+// scenario) plus a phases track, and --profile-host
 // writes the result as a Chrome trace — the exact exporter and format
 // the simulated-hardware traces already use, so one viewer opens both.
 //
@@ -42,15 +42,11 @@ class HostProfiler {
   /// Microseconds since construction (the trace's timestamp unit).
   std::uint64_t now_us() const;
 
-  /// Record a slice open/close, point event, or counter sample at
-  /// now_us() on `track`. `name` may be any runtime string; it is
-  /// interned (deduplicated, pointer-stable) internally.
+  /// Record a slice open/close at now_us() on `track`. `name` may be
+  /// any runtime string; it is interned (deduplicated, pointer-stable)
+  /// internally.
   void begin(std::uint32_t track, const std::string& name);
   void end(std::uint32_t track, const std::string& name);
-  void instant(std::uint32_t track, const std::string& name,
-               std::uint64_t value = 0);
-  void counter(std::uint32_t track, const std::string& name,
-               std::uint64_t value);
 
   /// Events recorded so far (including any lost to ring wrap).
   std::uint64_t recorded() const;
@@ -62,7 +58,7 @@ class HostProfiler {
  private:
   const char* intern(const std::string& name);  // callers hold mu_
   void record(std::uint32_t track, trace::Phase phase,
-              const std::string& name, std::uint64_t value);
+              const std::string& name);
 
   mutable std::mutex mu_;
   std::chrono::steady_clock::time_point epoch_;

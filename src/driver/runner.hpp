@@ -1,15 +1,13 @@
 // Scenario execution: run_scenario() materializes a scenario's workload
 // from its derived seed (or picks it up from the sweep asset cache),
 // dispatches to the right simulator (single CC or cluster), and collects
-// a uniform metrics record; run_scenarios() fans a scenario list across
-// the work-stealing sweep engine (driver/sweep.hpp). Results land at
-// their scenario's index, so the output is identical for any job count.
+// a uniform metrics record. Called alone with no SweepContext, it is the
+// plain reference path; driver/sweep.hpp runs whole scenario lists.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
@@ -96,7 +94,7 @@ std::string trace_file_path(const std::string& trace_dir, const Scenario& s);
 /// any combination of members set or null.
 struct SweepContext {
   /// Shared immutable workloads + assembled programs (driver/assets.hpp);
-  /// null rebuilds everything per run.
+  /// null rebuilds everything for this run (run_sweep always sets it).
   AssetCache* assets = nullptr;
   /// Worker-owned arena backing the simulated-memory pages; the sweep
   /// engine resets it between runs. Null falls back to the heap.
@@ -110,13 +108,5 @@ struct SweepContext {
 /// with cores = 1.
 ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts = {},
                             const SweepContext& ctx = {});
-
-/// Run every scenario, fanning across `jobs` worker threads (jobs <= 1
-/// runs inline on the calling thread). Thin wrapper over run_sweep()
-/// (driver/sweep.hpp) with the asset cache on. Results are positionally
-/// aligned with `scenarios` and bitwise independent of `jobs`.
-std::vector<ScenarioResult> run_scenarios(
-    const std::vector<Scenario>& scenarios, unsigned jobs,
-    const RunOptions& opts = {});
 
 }  // namespace issr::driver

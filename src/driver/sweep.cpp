@@ -4,14 +4,13 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <memory>
+#include <exception>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/arena.hpp"
@@ -65,7 +64,15 @@ std::uint64_t result_fingerprint(const ScenarioResult& r) {
 /// scenario's slot is preserved, the fault records what was thrown. A
 /// pure function of (scenario, message), so injected-exception sweeps
 /// stay bytewise deterministic at any job count.
-ScenarioResult host_exception_row(const Scenario& s, const char* what) {
+ScenarioResult host_exception_row(const Scenario& s, std::exception_ptr e) {
+  std::string what = "unknown host exception";
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& x) {
+    what = x.what();
+  } catch (...) {
+    // Not a std::exception: keep the generic message.
+  }
   ScenarioResult out;
   out.scenario = s;
   out.ok = false;
@@ -76,21 +83,10 @@ ScenarioResult host_exception_row(const Scenario& s, const char* what) {
   return out;
 }
 
-/// One schedulable unit: a (scenario, rep) pair with its dispatch cost
-/// (estimated for rep 0, measured simulated core-cycles afterwards).
+/// One schedulable unit: rep `rep` of scenario `index`.
 struct Task {
   std::uint32_t index = 0;
   std::uint32_t rep = 0;
-  double cost = 0.0;
-};
-
-/// A worker's deque. The owner pops its costliest task from the front;
-/// idle workers steal from the back. The mutex is uncontended in the
-/// common case (tasks are whole simulations, milliseconds each), and the
-/// padding keeps adjacent workers' locks off one cache line.
-struct alignas(64) WorkerDeque {
-  std::mutex mu;
-  std::deque<Task> q;
 };
 
 }  // namespace
@@ -145,8 +141,7 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
   const unsigned reps = std::max(1u, spec.reps);
   if (n == 0) return out;
 
-  AssetCache cache;
-  AssetCache* assets = spec.asset_cache ? &cache : nullptr;
+  AssetCache assets;
 
   const std::size_t total_tasks = n * reps;
   const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
@@ -172,40 +167,10 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
     prof->begin(phase_track, "dispatch");
   }
 
-  // Shared run telemetry. rep0_print[i] is written exactly once (by the
-  // worker that runs rep 0 of scenario i) before any rep > 0 task for i
-  // is published; the deque mutex orders that write before the rep
-  // task's execution.
-  std::vector<std::uint64_t> rep0_print(n, 0);
-  std::atomic<std::size_t> remaining{total_tasks};
-  // Rep-0 tasks not yet finished: the only publishers of new tasks.
-  // Once this hits zero every remaining task is already in a deque (or
-  // running on its worker), so an idle worker can exit instead of
-  // spinning — exiting early never loses work, because a worker always
-  // drains its own deque before leaving and only forfeits the chance to
-  // steal from others.
-  std::atomic<std::size_t> rep0_left{n};
-  std::atomic<std::size_t> steals{0};
-  std::atomic<std::size_t> retries_total{0};
-  // --fail-fast: raised by the worker that hits the first faulted row;
-  // every worker checks it before popping another task. Rows never run
-  // are marked `skipped` after the join.
-  std::atomic<bool> stop{false};
-  // ran[i] is written exactly once, by the worker that executes rep 0 of
-  // scenario i (single-writer per index — same argument as rep0_print).
-  std::vector<char> ran(n, 0);
-  // Parks workers that are waiting for rep tasks to be published (jobs
-  // can exceed the scenario count when reps > 1, so some workers start
-  // with empty deques). Publishers notify after pushing; the bounded
-  // wait covers the notify-before-wait race.
-  std::mutex idle_mu;
-  std::condition_variable idle_cv;
-  std::atomic<std::uint64_t> core_cycles{0};
-  std::atomic<bool> rep_mismatch{false};
-
-  // Longest-expected-first dispatch: indices sorted by descending cost
-  // estimate, dealt round-robin so every deque is itself descending and
-  // the heaviest scenarios start immediately on distinct workers.
+  // Longest-expected-first: one task list holding the scenarios in
+  // stable descending cost order, each scenario's reps right behind its
+  // rep 0. Workers take tasks in list order from one shared cursor, so
+  // an idle worker always gets the costliest task left.
   std::vector<double> cost(n);
   for (std::size_t i = 0; i < n; ++i) {
     cost[i] = estimated_cost(spec.scenarios[i]);
@@ -216,13 +181,28 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
                    [&](std::uint32_t a, std::uint32_t b) {
                      return cost[a] > cost[b];
                    });
-  std::vector<WorkerDeque> deques(workers);
-  for (std::size_t i = 0; i < n; ++i) {
-    deques[i % workers].q.push_back(Task{order[i], 0, cost[order[i]]});
+  std::vector<Task> tasks;
+  tasks.reserve(total_tasks);
+  for (const std::uint32_t i : order) {
+    for (std::uint32_t rep = 0; rep < reps; ++rep) tasks.push_back({i, rep});
   }
+  std::atomic<std::size_t> next{0};
+
+  // Each task writes only its own slots: prints[k] (its result
+  // fingerprint) for task k and, for a rep-0 task, its scenario's result
+  // and run_seconds entry. The join orders those writes before every read.
+  std::vector<std::uint64_t> prints(total_tasks, 0);
+  // Shared run telemetry.
+  std::atomic<std::size_t> finished{0};
+  std::atomic<std::size_t> retries_total{0};
+  // --fail-fast: raised by the worker that hits the first faulted row;
+  // every worker checks it before taking another task. Rows never run
+  // are marked `skipped` after the join.
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> core_cycles{0};
 
   // --progress heartbeat state. Percent/ETA come from estimated_cost
-  // fractions (the same model the scheduler dispatches by), MCPS from
+  // fractions (the same model the task list is ordered by), MCPS from
   // the shared core-cycle counter. Everything goes to stderr only, so
   // stdout and the result documents are provably untouched by it.
   const double total_cost =
@@ -238,8 +218,7 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
     last_print = now;
     const double elapsed =
         std::chrono::duration<double>(now - t_start).count();
-    const std::size_t done =
-        total_tasks - remaining.load(std::memory_order_relaxed);
+    const std::size_t done = finished.load(std::memory_order_relaxed);
     const double frac =
         total_cost > 0.0
             ? std::min(1.0, static_cast<double>(done_cost.load(
@@ -260,87 +239,21 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
     std::fflush(stderr);
   };
 
-  // Per-worker metric registries: share-nothing while the sweep runs
-  // (like the staged results), merged into one host snapshot afterwards.
+  // Per-worker metric registries: share-nothing while the sweep runs,
+  // merged into one host snapshot afterwards.
   std::vector<metrics::Registry> regs(workers);
-
-  // Per-worker result staging: workers never touch the shared results
-  // vector mid-run (adjacent ScenarioResult slots share cache lines), so
-  // there is no false sharing and no cross-worker write traffic until
-  // the single move pass after the join.
-  std::vector<std::vector<std::pair<std::uint32_t, ScenarioResult>>> staged(
-      workers);
-
-  const auto pop_own = [&](unsigned w, Task& t) {
-    WorkerDeque& d = deques[w];
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (d.q.empty()) return false;
-    t = d.q.front();
-    d.q.pop_front();
-    return true;
-  };
-  // Longest-expected-first applies to stealing too: scan every victim's
-  // exposed (back) task and take the costliest. Initial tasks expose
-  // their estimate; re-queued reps expose their scenario's measured
-  // rep-0 core-cycles, so the refinement steers which straggler an idle
-  // worker picks up.
-  const auto steal = [&](unsigned w, Task& t) {
-    for (;;) {
-      int best = -1;
-      double best_cost = -1.0;
-      for (unsigned k = 1; k < workers; ++k) {
-        const unsigned v = (w + k) % workers;
-        std::lock_guard<std::mutex> lock(deques[v].mu);
-        if (deques[v].q.empty()) continue;
-        const double c = deques[v].q.back().cost;
-        if (c > best_cost) {
-          best_cost = c;
-          best = static_cast<int>(v);
-        }
-      }
-      if (best < 0) return false;
-      WorkerDeque& d = deques[best];
-      std::lock_guard<std::mutex> lock(d.mu);
-      if (d.q.empty()) continue;  // raced with its owner; rescan
-      t = d.q.back();
-      d.q.pop_back();
-      return true;
-    }
-  };
 
   const auto worker_fn = [&](unsigned w) {
     Arena arena;
-    const SweepContext ctx{assets, &arena};
-    auto& local = staged[w];
+    const SweepContext ctx{&assets, &arena};
     metrics::Registry& reg = regs[w];
     reg.histogram("host_run_us", 0.0, 1e6, 20);
     const std::uint32_t track = prof != nullptr ? worker_tracks[w] : 0;
     std::uint64_t busy_us = 0;
-    for (;;) {
-      if (stop.load(std::memory_order_acquire)) break;
-      Task t;
-      const bool own = pop_own(w, t);
-      if (!own) {
-        if (!steal(w, t)) {
-          // Nothing to pop or steal. Stay only while an unfinished
-          // rep-0 task could still publish reps to steal; otherwise
-          // exit (the old pool's behavior) rather than burn a core
-          // spinning against the last running simulations. Staying
-          // workers park on the condition variable instead of
-          // spin-scanning every deque mutex.
-          if (reps > 1 && !stop.load(std::memory_order_acquire) &&
-              rep0_left.load(std::memory_order_acquire) != 0 &&
-              remaining.load(std::memory_order_acquire) != 0) {
-            std::unique_lock<std::mutex> lock(idle_mu);
-            idle_cv.wait_for(lock, std::chrono::milliseconds(1));
-            continue;
-          }
-          break;
-        }
-        steals.fetch_add(1, std::memory_order_relaxed);
-        if (prof != nullptr) prof->instant(track, "steal", t.index);
-      }
-
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::size_t k = next.fetch_add(1);
+      if (k >= total_tasks) break;
+      const Task t = tasks[k];
       const Scenario& s = spec.scenarios[t.index];
       const RunOptions& ro = t.rep == 0 ? opts : rep_opts;
       if (prof != nullptr) prof->begin(track, s.name());
@@ -363,21 +276,13 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
           }
           r = run_scenario(s, ro, ctx);
           break;
-        } catch (const std::exception& e) {
-          if (attempt < spec.retries) {
-            retries_total.fetch_add(1, std::memory_order_relaxed);
-            reg.add("host_retries", 1);
-            continue;
-          }
-          r = host_exception_row(s, e.what());
-          break;
         } catch (...) {
           if (attempt < spec.retries) {
             retries_total.fetch_add(1, std::memory_order_relaxed);
             reg.add("host_retries", 1);
             continue;
           }
-          r = host_exception_row(s, "unknown host exception");
+          r = host_exception_row(s, std::current_exception());
           break;
         }
       }
@@ -388,47 +293,18 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
       busy_us += static_cast<std::uint64_t>(run_us);
       reg.add("host_runs", 1);
       reg.record("host_run_us", run_us);
-      // Rep-0 wall time lands at the scenario's index: exactly one task
-      // writes each slot, so no lock is needed (same argument as
-      // rep0_print above).
-      if (t.rep == 0) out.run_seconds[t.index] = run_us * 1e-6;
       core_cycles.fetch_add(r.core_cycles, std::memory_order_relaxed);
-
       const bool faulted = static_cast<bool>(r.fault);
+      prints[k] = result_fingerprint(r);
       if (t.rep == 0) {
-        ran[t.index] = 1;
-        rep0_print[t.index] = result_fingerprint(r);
-        if (reps > 1) {
-          // Publish the remaining reps with their now-measured cost,
-          // onto our own front: the owner runs them next while the
-          // workload is hot, and idle workers can still steal them.
-          {
-            std::lock_guard<std::mutex> lock(deques[w].mu);
-            for (unsigned rep = reps - 1; rep >= 1; --rep) {
-              deques[w].q.push_front(
-                  Task{t.index, rep, static_cast<double>(r.core_cycles)});
-            }
-          }
-          idle_cv.notify_all();
-        }
-        local.emplace_back(t.index, std::move(r));
-        rep0_left.fetch_sub(1, std::memory_order_acq_rel);
-      } else {
-        // Rep determinism: every rep of a scenario must reproduce rep 0
-        // exactly (the engine guarantees it; a mismatch means a
-        // modelling bug and poisons the sweep).
-        if (result_fingerprint(r) != rep0_print[t.index]) {
-          ISSR_ERROR("rep %u of %s diverged from rep 0", t.rep,
-                     s.name().c_str());
-          rep_mismatch.store(true, std::memory_order_relaxed);
-        }
+        out.run_seconds[t.index] = run_us * 1e-6;
+        out.results[t.index] = std::move(r);
       }
-      remaining.fetch_sub(1, std::memory_order_acq_rel);
+      finished.fetch_add(1);
       done_cost.fetch_add(static_cast<std::uint64_t>(cost[t.index]),
                           std::memory_order_relaxed);
       if (spec.fail_fast && faulted) {
         stop.store(true, std::memory_order_release);
-        idle_cv.notify_all();
       }
       progress_tick(false);
     }
@@ -454,26 +330,34 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
     prof->begin(phase_track, "collect");
   }
 
-  for (auto& local : staged) {
-    for (auto& [index, result] : local) {
-      out.results[index] = std::move(result);
+  // A taken task always runs to the end, so every task below the cursor
+  // ran and none above it did (only a --fail-fast stop leaves any).
+  const std::size_t taken = std::min(next.load(), total_tasks);
+  bool rep_mismatch = false;
+  for (std::size_t k = 0; k < total_tasks; ++k) {
+    const Task& t = tasks[k];
+    if (k >= taken) {
+      // Rows the stop preempted keep their scenario identity, so the
+      // report still has one row per requested scenario, marked skipped.
+      if (t.rep == 0) {
+        out.results[t.index].scenario = spec.scenarios[t.index];
+        out.results[t.index].skipped = true;
+      }
+    } else if (t.rep > 0 && prints[k] != prints[k - t.rep]) {
+      // Rep determinism: every rep of a scenario must reproduce rep 0
+      // exactly (the engine guarantees it; a mismatch means a modelling
+      // bug and poisons the sweep).
+      ISSR_ERROR("rep %u of %s diverged from rep 0", t.rep,
+                 spec.scenarios[t.index].name().c_str());
+      rep_mismatch = true;
     }
   }
-  // Rows the --fail-fast stop preempted: keep their scenario identity so
-  // the report still has one row per requested scenario, marked skipped.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!ran[i]) {
-      out.results[i].scenario = spec.scenarios[i];
-      out.results[i].skipped = true;
-    }
-  }
-  assert(!rep_mismatch.load() && "rep produced a different result");
-  if (rep_mismatch.load()) {
+  assert(!rep_mismatch && "rep produced a different result");
+  if (rep_mismatch) {
     for (auto& r : out.results) r.ok = false;
   }
 
   out.stats.runs = total_tasks;
-  out.stats.steals = steals.load();
   out.stats.host_retries = retries_total.load();
   for (const auto& r : out.results) {
     if (r.skipped) {
@@ -485,7 +369,7 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
   out.stats.core_cycles = core_cycles.load();
   out.stats.wall_seconds =
       std::chrono::duration<double>(Clock::now() - t_start).count();
-  if (assets != nullptr) out.stats.cache = assets->stats();
+  out.stats.cache = assets.stats();
 
   // Host metrics: merge the per-worker registries (any merge order gives
   // the same snapshot — the contract tests/test_metrics.cpp asserts),
@@ -493,7 +377,6 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
   for (const auto& reg : regs) out.host_metrics.merge(reg.snapshot());
   {
     metrics::Registry g;
-    g.add("host_steals", out.stats.steals);
     g.add("host_fault_rows", out.stats.fault_rows);
     g.add("host_skipped_rows", out.stats.skipped_rows);
     g.add("host_workload_builds", out.stats.cache.workload_builds);

@@ -1,18 +1,18 @@
 // The batched in-process sweep engine: one call runs a whole scenario
 // suite with shared immutable assets, arena-backed per-run state, and a
-// cost-ordered work-stealing scheduler.
+// cost-ordered task queue.
 //
-// Scheduling: scenarios are dispatched longest-expected-first (cost model
-// from shape/nnz/variant/cluster-ness, refined by measured cycles once a
-// scenario's first rep has run), dealt across per-worker deques; owners
-// pop their costliest task first, idle workers steal from other deques,
-// so one late heavy cluster run can no longer idle every other worker
-// (the classic straggler problem the shared-counter pool had).
+// Scheduling: every (scenario, rep) pair is one task on a single list.
+// Scenarios sit in stable descending order of estimated cost (shape,
+// nnz, variant and cluster-ness), each followed by its reps; workers
+// take the next task from one shared cursor, so an idle worker always
+// picks up the costliest task left and a heavy cluster run starts early
+// instead of straggling at the end.
 //
 // Determinism: every run is a pure function of its scenario, so results
 // land at their scenario's index and the output documents are bytewise
-// identical for any `jobs`, any `reps`, and with the asset cache on or
-// off.
+// identical for any `jobs` and any `reps` — and to running each scenario
+// alone through run_scenario() with no asset cache.
 #pragma once
 
 #include <cstddef>
@@ -36,14 +36,10 @@ struct SweepSpec {
   /// engine asserts their results are identical); the result list always
   /// carries one entry per scenario, so reports are rep-invariant.
   unsigned reps = 1;
-  /// Share generated workloads and assembled programs across runs
-  /// (`--no-asset-cache` clears this to force the rebuild-every-run path
-  /// for bisection; outputs are bytewise identical either way).
-  bool asset_cache = true;
   /// When non-null, the engine records a wall-clock timeline into it:
-  /// one track per worker (run slices named by scenario, steal
-  /// instants) plus a phases track (--profile-host). Observational
-  /// only — never read by the simulation, never reflected in results.
+  /// one track per worker (run slices named by scenario) plus a phases
+  /// track (--profile-host). Observational only — never read by the
+  /// simulation, never reflected in results.
   HostProfiler* profiler = nullptr;
   /// Emit a throttled stderr heartbeat (done/total, percent by
   /// estimated cost, current MCPS, ETA) while the sweep runs
@@ -69,7 +65,8 @@ struct SweepSpec {
 /// feeds the result files).
 struct SweepStats {
   std::size_t runs = 0;    ///< simulations executed (scenarios x reps)
-  std::size_t steals = 0;  ///< tasks executed by a non-owner worker
+  /// Inert (always 0): kept only for perfbench, see ROADMAP item 6.
+  std::size_t steals = 0;
   std::size_t fault_rows = 0;    ///< result rows carrying a Fault
   std::size_t skipped_rows = 0;  ///< rows never run (--fail-fast stop)
   std::size_t host_retries = 0;  ///< re-attempts after host exceptions
@@ -77,7 +74,7 @@ struct SweepStats {
   /// sweep MCPS numerator).
   std::uint64_t core_cycles = 0;
   double wall_seconds = 0.0;
-  AssetCacheStats cache;  ///< zeros when the cache is off
+  AssetCacheStats cache;  ///< the sweep's shared asset cache traffic
 };
 
 struct SweepOutcome {
@@ -85,7 +82,7 @@ struct SweepOutcome {
   SweepStats stats;
   /// Host-engine metrics (host_* namespace): per-worker run/busy
   /// counters and run-time histogram merged across workers, plus
-  /// steal/cache/arena/wall aggregates. Observational: feeds --metrics,
+  /// fault/cache/arena/wall aggregates. Observational: feeds --metrics,
   /// never the result documents.
   metrics::Snapshot host_metrics;
   /// Rep-0 wall seconds per scenario, positionally aligned with
@@ -96,10 +93,10 @@ struct SweepOutcome {
 /// Expected relative wall cost of simulating `s` (arbitrary units,
 /// roughly proportional to simulated core-cycles weighted by the
 /// per-cycle expense of the engine it runs on). Only the ordering
-/// matters: the scheduler dispatches descending.
+/// matters: run_sweep dispatches descending.
 double estimated_cost(const Scenario& s);
 
-/// Run the sweep. Results are bitwise independent of jobs/reps/cache.
+/// Run the sweep. Results are bitwise independent of jobs/reps.
 SweepOutcome run_sweep(const SweepSpec& spec);
 
 }  // namespace issr::driver

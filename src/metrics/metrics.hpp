@@ -4,7 +4,7 @@
 // (metrics/harvest.hpp derives utilization/occupancy series from the
 // statistics structs every simulation already collects, so recording a
 // metric can never perturb simulated timing) and the host sweep engine
-// (driver/sweep.cpp counts runs/steals/cache traffic per worker).
+// (driver/sweep.cpp counts runs/retries/cache traffic per worker).
 //
 // Determinism contract:
 //  - A Snapshot is a name-sorted list of entries; rendering one is a pure

@@ -304,7 +304,15 @@ TEST(RunScenario, SpvvValidates) {
 
 // --- Parallel sweep determinism ---------------------------------------------
 
-TEST(RunScenarios, ParallelMatchesSerialBitwise) {
+std::vector<ScenarioResult> sweep_results(
+    const std::vector<Scenario>& scenarios, unsigned jobs) {
+  SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.jobs = jobs;
+  return run_sweep(spec).results;
+}
+
+TEST(RunSweep, ParallelMatchesSerialBitwise) {
   auto m = tiny_matrix();
   m.variants = {kernels::Variant::kBase, kernels::Variant::kSsr,
                 kernels::Variant::kIssr};
@@ -312,8 +320,8 @@ TEST(RunScenarios, ParallelMatchesSerialBitwise) {
   const auto scenarios = m.expand();
   ASSERT_EQ(scenarios.size(), 6u);
 
-  const auto serial = run_scenarios(scenarios, 1);
-  const auto parallel = run_scenarios(scenarios, 4);
+  const auto serial = sweep_results(scenarios, 1);
+  const auto parallel = sweep_results(scenarios, 4);
   ASSERT_EQ(serial.size(), parallel.size());
 
   // Results must agree field-for-field, and the emitted documents must be
@@ -329,12 +337,12 @@ TEST(RunScenarios, ParallelMatchesSerialBitwise) {
   EXPECT_EQ(results_to_csv(serial), results_to_csv(parallel));
 }
 
-TEST(RunScenarios, MoreJobsThanScenarios) {
+TEST(RunSweep, MoreJobsThanScenarios) {
   ScenarioMatrix m = tiny_matrix();
   m.variants = {kernels::Variant::kIssr};
   const auto scenarios = m.expand();
   ASSERT_EQ(scenarios.size(), 1u);
-  const auto results = run_scenarios(scenarios, 16);
+  const auto results = sweep_results(scenarios, 16);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].ok);
 }

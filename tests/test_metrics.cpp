@@ -206,8 +206,6 @@ TEST(MetricsHost, SweepAccountingMatchesStats) {
     const auto& host = outcome.host_metrics;
     EXPECT_EQ(host.value("host_runs"),
               static_cast<double>(outcome.stats.runs));
-    EXPECT_EQ(host.value("host_steals"),
-              static_cast<double>(outcome.stats.steals));
     EXPECT_EQ(host.value("host_workload_builds"),
               static_cast<double>(outcome.stats.cache.workload_builds));
     EXPECT_GT(host.value("host_wall_seconds"), 0.0);
@@ -228,8 +226,7 @@ TEST(HostProfiler, WritesChromeTrace) {
   const auto track = prof.add_track("sweep", "worker 0");
   prof.begin(track, "csrmv/base");
   prof.end(track, "csrmv/base");
-  prof.instant(track, "steal", 3);
-  EXPECT_EQ(prof.recorded(), 3u);
+  EXPECT_EQ(prof.recorded(), 2u);
 
   const fs::path path = fs::temp_directory_path() / "issr_hostprof_test.json";
   fs::remove(path);

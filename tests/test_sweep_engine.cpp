@@ -1,8 +1,8 @@
-// Sweep-engine tests: scheduler/cache determinism (bytewise-identical
-// JSON/CSV/trace outputs across --jobs 1/2/8, asset cache on and off,
-// and multi-rep batches), asset-cache identity semantics
-// (pointer-identical assets for equal keys, distinct for differing
-// seeds), cost-model ordering, and sweep telemetry.
+// Sweep-engine tests: run_sweep against its reference, a serial loop of
+// run_scenario with no asset cache and no arena (bytewise-identical
+// JSON/CSV/trace outputs across jobs 1/4/8 and reps 1/3), asset-cache
+// identity semantics (pointer-identical assets for equal keys, distinct
+// for differing seeds), cost-model ordering, and sweep telemetry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -44,43 +44,74 @@ std::vector<Scenario> mixed_fig_scenarios() {
 }
 
 SweepOutcome sweep(const std::vector<Scenario>& scenarios, unsigned jobs,
-                   bool cache, unsigned reps = 1,
-                   const RunOptions& opts = {}) {
+                   unsigned reps = 1, const RunOptions& opts = {}) {
   SweepSpec spec;
   spec.scenarios = scenarios;
   spec.jobs = jobs;
   spec.reps = reps;
-  spec.asset_cache = cache;
   spec.options = opts;
   return run_sweep(spec);
 }
 
-// --- Bytewise determinism across jobs / cache / reps -------------------------
+// --- Bytewise refinement of the serial reference -----------------------------
 
-TEST(SweepEngine, OutputsIdenticalAcrossJobsAndCache) {
+/// The shared asset cache, the arenas, the task queue and its workers,
+/// reps and tracing are all refinements of running each scenario alone:
+/// every configuration must emit the reference's result and trace bytes.
+TEST(SweepEngine, MatchesSerialRunScenarioReference) {
+  namespace fs = std::filesystem;
   const auto scenarios = mixed_fig_scenarios();
   ASSERT_GE(scenarios.size(), 10u);
+  const fs::path base = fs::temp_directory_path() / "issr_sweep_ref_test";
+  const fs::path ref_dir = base / "reference";
+  const fs::path sweep_dir = base / "sweep";
+  fs::remove_all(base);
+  fs::create_directories(ref_dir);
+  fs::create_directories(sweep_dir);
 
-  const auto reference = sweep(scenarios, 1, /*cache=*/true);
-  const std::string ref_json = results_to_json(reference.results);
-  const std::string ref_csv = results_to_csv(reference.results);
+  RunOptions traced;
+  traced.trace_events = 1 << 12;
+  traced.trace_dir = ref_dir.string();
+  std::vector<ScenarioResult> reference;
+  for (const auto& s : scenarios) reference.push_back(run_scenario(s, traced));
+  const std::string ref_json = results_to_json(reference);
+  const std::string ref_csv = results_to_csv(reference);
 
-  for (const unsigned jobs : {1u, 2u, 8u}) {
-    for (const bool cache : {true, false}) {
-      const auto got = sweep(scenarios, jobs, cache);
+  traced.trace_dir = sweep_dir.string();
+  for (const unsigned jobs : {1u, 4u, 8u}) {
+    for (const unsigned reps : {1u, 3u}) {
+      const bool trace = jobs == 4 && reps == 3;
+      const auto got =
+          sweep(scenarios, jobs, reps, trace ? traced : RunOptions{});
       EXPECT_EQ(results_to_json(got.results), ref_json)
-          << "jobs=" << jobs << " cache=" << cache;
+          << "jobs=" << jobs << " reps=" << reps;
       EXPECT_EQ(results_to_csv(got.results), ref_csv)
-          << "jobs=" << jobs << " cache=" << cache;
+          << "jobs=" << jobs << " reps=" << reps;
+      EXPECT_EQ(got.stats.runs, scenarios.size() * reps);
     }
   }
+
+  const auto slurp = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  for (const auto& s : scenarios) {
+    const std::string want = trace_file_path(ref_dir.string(), s);
+    const std::string got = trace_file_path(sweep_dir.string(), s);
+    ASSERT_TRUE(fs::exists(want)) << want;
+    ASSERT_TRUE(fs::exists(got)) << got;
+    EXPECT_EQ(slurp(got), slurp(want)) << s.name();
+  }
+  fs::remove_all(base);
 }
 
 TEST(SweepEngine, OutputsAreRepInvariant) {
   auto scenarios = mixed_fig_scenarios();
   scenarios.resize(6);  // keep the rep sweep quick
-  const auto once = sweep(scenarios, 2, /*cache=*/true, /*reps=*/1);
-  const auto thrice = sweep(scenarios, 8, /*cache=*/true, /*reps=*/3);
+  const auto once = sweep(scenarios, 2, /*reps=*/1);
+  const auto thrice = sweep(scenarios, 8, /*reps=*/3);
   EXPECT_EQ(results_to_json(once.results), results_to_json(thrice.results));
   EXPECT_EQ(thrice.stats.runs, scenarios.size() * 3);
   // Reps share the scenario's workload: builds stay at the unique-key
@@ -95,43 +126,6 @@ TEST(SweepEngine, OutputsAreRepInvariant) {
             thrice.stats.cache.program_builds);
   EXPECT_EQ(thrice.stats.cache.compiled_hits, thrice.stats.cache.program_hits);
   EXPECT_GT(thrice.stats.cache.compiled_hits, 0u);
-}
-
-TEST(SweepEngine, TraceFilesIdenticalWithAndWithoutCache) {
-  namespace fs = std::filesystem;
-  auto scenarios = mixed_fig_scenarios();
-  scenarios.resize(4);
-  const fs::path base = fs::temp_directory_path() / "issr_sweep_trace_test";
-  const fs::path dir_on = base / "on";
-  const fs::path dir_off = base / "off";
-  fs::remove_all(base);
-  fs::create_directories(dir_on);
-  fs::create_directories(dir_off);
-
-  RunOptions opts;
-  opts.trace_events = 1 << 12;
-  opts.trace_dir = dir_on.string();
-  sweep(scenarios, 4, /*cache=*/true, /*reps=*/2, opts);
-  opts.trace_dir = dir_off.string();
-  sweep(scenarios, 1, /*cache=*/false, /*reps=*/1, opts);
-
-  const auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
-  unsigned compared = 0;
-  for (const auto& s : scenarios) {
-    const std::string on = trace_file_path(dir_on.string(), s);
-    const std::string off = trace_file_path(dir_off.string(), s);
-    ASSERT_TRUE(fs::exists(on)) << on;
-    ASSERT_TRUE(fs::exists(off)) << off;
-    EXPECT_EQ(slurp(on), slurp(off)) << s.name();
-    ++compared;
-  }
-  EXPECT_EQ(compared, scenarios.size());
-  fs::remove_all(base);
 }
 
 // --- Asset cache identity ----------------------------------------------------
@@ -288,7 +282,7 @@ TEST(SweepEngine, CacheCountsUniqueWorkloadsOnce) {
   }
   ASSERT_LT(unique, scenarios.size());  // the mix must actually share
 
-  const auto outcome = sweep(scenarios, 4, /*cache=*/true);
+  const auto outcome = sweep(scenarios, 4);
   EXPECT_EQ(outcome.stats.cache.workload_builds, unique);
   EXPECT_EQ(outcome.stats.cache.workload_hits, scenarios.size() - unique);
   EXPECT_EQ(outcome.stats.runs, scenarios.size());
@@ -301,12 +295,6 @@ TEST(SweepEngine, CacheCountsUniqueWorkloadsOnce) {
             outcome.stats.cache.program_builds);
   EXPECT_EQ(outcome.stats.cache.compiled_hits,
             outcome.stats.cache.program_hits);
-
-  const auto uncached = sweep(scenarios, 4, /*cache=*/false);
-  EXPECT_EQ(uncached.stats.cache.workload_builds, 0u);
-  EXPECT_EQ(uncached.stats.cache.workload_hits, 0u);
-  EXPECT_EQ(uncached.stats.cache.compiled_builds, 0u);
-  EXPECT_EQ(uncached.stats.cache.compiled_hits, 0u);
 }
 
 TEST(SweepEngine, CostModelOrdersByWorkAndEngine) {
@@ -333,14 +321,6 @@ TEST(SweepEngine, CostModelOrdersByWorkAndEngine) {
   Scenario denser = small;
   denser.density = 0.2;
   EXPECT_GT(estimated_cost(denser), estimated_cost(small));
-}
-
-TEST(SweepEngine, RunScenariosWrapperMatchesRunSweep) {
-  auto scenarios = mixed_fig_scenarios();
-  scenarios.resize(5);
-  const auto via_wrapper = run_scenarios(scenarios, 3);
-  const auto via_sweep = sweep(scenarios, 3, /*cache=*/true);
-  EXPECT_EQ(results_to_json(via_wrapper), results_to_json(via_sweep.results));
 }
 
 // --- Pinned sweep mix ----------------------------------------------------------
@@ -389,7 +369,7 @@ std::vector<Scenario> throughput_mix() {
 TEST(SweepEngine, ThroughputMixCoreCycles) {
   const auto scenarios = throughput_mix();
   ASSERT_EQ(scenarios.size(), 17u);
-  const auto outcome = sweep(scenarios, 2, /*cache=*/true);
+  const auto outcome = sweep(scenarios, 2);
   ASSERT_EQ(outcome.results.size(), scenarios.size());
   for (const auto& r : outcome.results) {
     EXPECT_TRUE(r.ok) << r.scenario.name();
@@ -398,7 +378,7 @@ TEST(SweepEngine, ThroughputMixCoreCycles) {
 }
 
 TEST(SweepEngine, EmptySweepIsWellFormed) {
-  const auto outcome = sweep({}, 4, true, 3);
+  const auto outcome = sweep({}, 4, 3);
   EXPECT_TRUE(outcome.results.empty());
   EXPECT_EQ(outcome.stats.runs, 0u);
 }

@@ -1008,8 +1008,12 @@ TEST(DriverClusters, MultiClusterSweepBytewiseIdenticalAcrossJobs) {
   m.cols = 64;
   const auto scenarios = m.expand();
   ASSERT_EQ(scenarios.size(), 6u);
-  const auto serial = driver::run_scenarios(scenarios, 1);
-  const auto parallel = driver::run_scenarios(scenarios, 3);
+  driver::SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.jobs = 1;
+  const auto serial = driver::run_sweep(spec).results;
+  spec.jobs = 3;
+  const auto parallel = driver::run_sweep(spec).results;
   for (const auto& r : serial) EXPECT_TRUE(r.ok) << r.scenario.name();
   EXPECT_EQ(driver::results_to_json(serial), driver::results_to_json(parallel));
   EXPECT_EQ(driver::results_to_csv(serial), driver::results_to_csv(parallel));
