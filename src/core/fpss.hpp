@@ -153,7 +153,6 @@ class Fpss {
   void set_freg(unsigned idx, double v) { fregs_[idx] = v; }
 
   const FpssStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Timeline hook: FREP hardware-loop slices (trace/).
   trace::Tracer& tracer() { return trace_; }

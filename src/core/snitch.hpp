@@ -100,7 +100,6 @@ class SnitchCore {
   }
 
   const SnitchStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Timeline hook: barrier-wait slices and a halt marker (trace/).
   trace::Tracer& tracer() { return trace_; }

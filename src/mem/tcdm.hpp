@@ -82,7 +82,6 @@ class Tcdm {
   void tick(cycle_t now);
 
   const TcdmStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Watchdog horizon: earliest cycle any port changes state on its own
   /// (kCycleNever when every port is drained and idle).

@@ -157,7 +157,6 @@ class Lane {
   }
 
   const LaneStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Timeline hook: one slice per stream job (trace/).
   trace::Tracer& tracer() { return trace_; }
