@@ -17,125 +17,64 @@ using isa::Op;
 
 namespace {
 
-// Operand-usage predicates: which source registers issue reads and
-// hazard-checks.
-bool op_uses_rs1(Op op) {
-  return !(op == Op::kLui || op == Op::kAuipc || op == Op::kJal ||
-           op == Op::kEcall || op == Op::kEbreak || op == Op::kFence ||
-           op == Op::kCsrrwi || op == Op::kCsrrsi || op == Op::kCsrrci);
+ExecClass exec_class(isa::Issue k) {
+  using isa::Issue;
+  switch (k) {
+    case Issue::kInvalid: return ExecClass::kInvalid;
+    case Issue::kAlu: case Issue::kMul: case Issue::kDiv:
+      return ExecClass::kAlu;
+    case Issue::kBranch: return ExecClass::kBranch;
+    case Issue::kJal: return ExecClass::kJal;
+    case Issue::kJalr: return ExecClass::kJalr;
+    case Issue::kLoad: return ExecClass::kLoad;
+    case Issue::kStore: return ExecClass::kStore;
+    case Issue::kCsr: return ExecClass::kCsr;
+    case Issue::kHalt: return ExecClass::kHalt;
+    case Issue::kFence: return ExecClass::kFence;
+    default: return ExecClass::kFpss;
+  }
 }
 
-bool op_uses_rs2(Op op) {
-  return isa::op_is_branch(op) || (isa::op_is_store(op) && op != Op::kFsd) ||
-         (op >= Op::kAdd && op <= Op::kAnd) ||
-         (op >= Op::kMul && op <= Op::kRemu);
+LoadExt load_ext(const isa::OpInfo& r) {
+  switch (r.mem_bytes) {
+    case 1: return r.mem_zext ? LoadExt::kU8 : LoadExt::kS8;
+    case 2: return r.mem_zext ? LoadExt::kU16 : LoadExt::kS16;
+    case 4: return r.mem_zext ? LoadExt::kU32 : LoadExt::kS32;
+    default: return LoadExt::k64;
+  }
 }
 
 DecodedInst decode_one(const Inst& inst) {
+  using isa::Issue;
+  using isa::RegFile;
+  const isa::OpInfo& r = isa::op_info(inst.op);
   DecodedInst d;
   d.inst = inst;
-  const Op op = inst.op;
+  d.cls = exec_class(r.issue);
 
-  if (isa::op_is_fpss(op)) {
-    d.cls = ExecClass::kFpss;
-    switch (op) {
-      case Op::kFld: case Op::kFsd:
-        d.flags |= kDFpssRs1 | kDFpssAddr;
-        break;
-      case Op::kFrep: case Op::kFcvtDW: case Op::kFcvtDWu: case Op::kFmvDX:
-        d.flags |= kDFpssRs1;
-        break;
-      default:
-        break;
+  if (d.cls == ExecClass::kFpss) {
+    // The integer operand an offload captures: rs1 (fld/fsd add imm).
+    if (r.rs1 == RegFile::kX) d.flags |= kDFpssRs1;
+    if (r.issue == Issue::kFpLoad || r.issue == Issue::kFpStore) {
+      d.flags |= kDFpssAddr;
     }
-    if (isa::op_fp_to_int(op)) d.flags |= kDFpToInt;
+    if (r.issue == Issue::kFpToInt) d.flags |= kDFpToInt;
     return d;
   }
 
-  if (op_uses_rs1(op)) d.flags |= kDUsesRs1;
-  if (op_uses_rs2(op)) d.flags |= kDUsesRs2;
-
-  switch (op) {
-    case Op::kLui: case Op::kAuipc:
-    case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
-    case Op::kOri: case Op::kAndi: case Op::kSlli: case Op::kSrli:
-    case Op::kSrai:
-    case Op::kAdd: case Op::kSub: case Op::kSll: case Op::kSlt:
-    case Op::kSltu: case Op::kXor: case Op::kSrl: case Op::kSra:
-    case Op::kOr: case Op::kAnd:
-      d.cls = ExecClass::kAlu;
-      break;
-    case Op::kMul: case Op::kMulh:
-      d.cls = ExecClass::kAlu;
-      d.wb_latency_kind = 1;
-      break;
-    case Op::kDiv: case Op::kDivu: case Op::kRem: case Op::kRemu:
-      d.cls = ExecClass::kAlu;
-      d.wb_latency_kind = 2;
-      break;
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu:
-      d.cls = ExecClass::kBranch;
-      break;
-    case Op::kJal:
-      d.cls = ExecClass::kJal;
-      break;
-    case Op::kJalr:
-      d.cls = ExecClass::kJalr;
-      break;
-    case Op::kLb:
-      d.cls = ExecClass::kLoad; d.load_bytes = 1; d.load_ext = LoadExt::kS8;
-      break;
-    case Op::kLbu:
-      d.cls = ExecClass::kLoad; d.load_bytes = 1; d.load_ext = LoadExt::kU8;
-      break;
-    case Op::kLh:
-      d.cls = ExecClass::kLoad; d.load_bytes = 2; d.load_ext = LoadExt::kS16;
-      break;
-    case Op::kLhu:
-      d.cls = ExecClass::kLoad; d.load_bytes = 2; d.load_ext = LoadExt::kU16;
-      break;
-    case Op::kLw:
-      d.cls = ExecClass::kLoad; d.load_bytes = 4; d.load_ext = LoadExt::kS32;
-      break;
-    case Op::kLwu:
-      d.cls = ExecClass::kLoad; d.load_bytes = 4; d.load_ext = LoadExt::kU32;
-      break;
-    case Op::kLd:
-      d.cls = ExecClass::kLoad; d.load_bytes = 8; d.load_ext = LoadExt::k64;
-      break;
-    case Op::kSb:
-      d.cls = ExecClass::kStore; d.load_bytes = 1;
-      break;
-    case Op::kSh:
-      d.cls = ExecClass::kStore; d.load_bytes = 2;
-      break;
-    case Op::kSw:
-      d.cls = ExecClass::kStore; d.load_bytes = 4;
-      break;
-    case Op::kSd:
-      d.cls = ExecClass::kStore; d.load_bytes = 8;
-      break;
-    case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
-      d.cls = ExecClass::kCsr;
-      if (inst.csr == isa::kCsrFpssSync) d.flags |= kDSyncCsr;
-      if (inst.csr == isa::kCsrBarrier) d.flags |= kDBarrierCsr;
-      break;
-    case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
-      d.cls = ExecClass::kCsr;
-      d.flags |= kDCsrImm;
-      if (inst.csr == isa::kCsrFpssSync) d.flags |= kDSyncCsr;
-      if (inst.csr == isa::kCsrBarrier) d.flags |= kDBarrierCsr;
-      break;
-    case Op::kEcall: case Op::kEbreak:
-      d.cls = ExecClass::kHalt;
-      break;
-    case Op::kFence:
-      d.cls = ExecClass::kFence;
-      break;
-    default:
-      d.cls = ExecClass::kInvalid;
-      break;
+  // Which source registers issue reads and hazard-checks.
+  if (r.rs1 == RegFile::kX) d.flags |= kDUsesRs1;
+  if (r.rs2 == RegFile::kX) d.flags |= kDUsesRs2;
+  if (r.issue == Issue::kMul) d.wb_latency_kind = 1;
+  if (r.issue == Issue::kDiv) d.wb_latency_kind = 2;
+  if (d.cls == ExecClass::kLoad || d.cls == ExecClass::kStore) {
+    d.load_bytes = r.mem_bytes;
+  }
+  if (d.cls == ExecClass::kLoad) d.load_ext = load_ext(r);
+  if (d.cls == ExecClass::kCsr) {
+    if (r.format == isa::Format::kCsrImm) d.flags |= kDCsrImm;
+    if (inst.csr == isa::kCsrFpssSync) d.flags |= kDSyncCsr;
+    if (inst.csr == isa::kCsrBarrier) d.flags |= kDBarrierCsr;
   }
   return d;
 }

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "core/compile.hpp"
 
@@ -11,32 +12,6 @@ using isa::Inst;
 using isa::Op;
 
 namespace {
-
-/// FP source register fields of an instruction, in operand order.
-unsigned fp_src_regs(const Inst& inst, std::uint8_t out[3]) {
-  switch (inst.op) {
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-      out[0] = inst.rs1;
-      out[1] = inst.rs2;
-      out[2] = inst.rs3;
-      return 3;
-    case Op::kFaddD: case Op::kFsubD: case Op::kFmulD: case Op::kFdivD:
-    case Op::kFsgnjD: case Op::kFsgnjnD: case Op::kFsgnjxD:
-    case Op::kFminD: case Op::kFmaxD:
-    case Op::kFeqD: case Op::kFltD: case Op::kFleD:
-      out[0] = inst.rs1;
-      out[1] = inst.rs2;
-      return 2;
-    case Op::kFsqrtD: case Op::kFcvtWD: case Op::kFcvtWuD: case Op::kFmvXD:
-      out[0] = inst.rs1;
-      return 1;
-    case Op::kFsd:
-      out[0] = inst.rs2;
-      return 1;
-    default:
-      return 0;
-  }
-}
 
 /// Apply FREP register staggering for one iteration offset.
 Inst apply_stagger(const Inst& inst, unsigned offset, unsigned mask) {
@@ -52,33 +27,29 @@ Inst apply_stagger(const Inst& inst, unsigned offset, unsigned mask) {
 }  // namespace
 
 FpssMicroOp lower_fpss_op(const Inst& inst) {
+  using isa::Issue;
+  const isa::OpInfo& r = isa::op_info(inst.op);
   FpssMicroOp m;
   m.inst = inst;
-  m.n_src = static_cast<std::uint8_t>(fp_src_regs(inst, m.srcs));
-  const Op op = inst.op;
-  if (op == Op::kFld) {
-    m.kind = FpssKind::kLoad;
-  } else if (op == Op::kFsd) {
-    m.kind = FpssKind::kStore;
-  } else if (isa::op_int_to_fp(op)) {
-    m.kind = FpssKind::kFromInt;
-  } else if (isa::op_fp_to_int(op)) {
-    m.kind = FpssKind::kToInt;
+  // FP source registers, in operand order.
+  const std::pair<isa::RegFile, std::uint8_t> srcs[] = {
+      {r.rs1, inst.rs1}, {r.rs2, inst.rs2}, {r.rs3, inst.rs3}};
+  for (const auto& [file, idx] : srcs) {
+    if (file == isa::RegFile::kF) m.srcs[m.n_src++] = idx;
   }
-  if (isa::op_writes_fp_rd(op)) m.mflags |= kMWritesFp;
-  if (isa::op_is_fp_compute(op)) m.mflags |= kMFpCompute;
-  switch (op) {
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-      m.mflags |= kMFmadd;
-      break;
-    case Op::kFmulD:
-      m.mflags |= kMFmul;
-      break;
-    default:
-      break;
+  switch (r.issue) {
+    case Issue::kFpLoad: m.kind = FpssKind::kLoad; break;
+    case Issue::kFpStore: m.kind = FpssKind::kStore; break;
+    case Issue::kFpFromInt: m.kind = FpssKind::kFromInt; break;
+    case Issue::kFpToInt: m.kind = FpssKind::kToInt; break;
+    default: break;
   }
-  if (fpu_is_iterative(op)) m.mflags |= kMIterative;
-  m.flops = static_cast<std::uint8_t>(isa::op_flops(op));
+  if (r.rd == isa::RegFile::kF) m.mflags |= kMWritesFp;
+  if (isa::op_is_fp_compute(inst.op)) m.mflags |= kMFpCompute;
+  if (r.issue == Issue::kFpFma) m.mflags |= kMFmadd;
+  if (r.issue == Issue::kFpMul) m.mflags |= kMFmul;
+  if (fpu_is_iterative(inst.op)) m.mflags |= kMIterative;
+  m.flops = static_cast<std::uint8_t>(isa::op_flops(inst.op));
   return m;
 }
 

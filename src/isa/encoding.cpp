@@ -2,96 +2,50 @@
 
 #include <cassert>
 #include <cstdio>
+#include <span>
+#include <utility>
 
 #include "common/bitutil.hpp"
 
 namespace issr::isa {
 namespace {
 
-// Major opcodes.
-constexpr std::uint32_t kOpLoad = 0x03;
-constexpr std::uint32_t kOpLoadFp = 0x07;
-constexpr std::uint32_t kOpMiscMem = 0x0f;
-constexpr std::uint32_t kOpImm = 0x13;
-constexpr std::uint32_t kOpAuipc = 0x17;
-constexpr std::uint32_t kOpStore = 0x23;
-constexpr std::uint32_t kOpStoreFp = 0x27;
-constexpr std::uint32_t kOpCustom1 = 0x2b;  // FREP
-constexpr std::uint32_t kOpReg = 0x33;
-constexpr std::uint32_t kOpLui = 0x37;
-constexpr std::uint32_t kOpMadd = 0x43;
-constexpr std::uint32_t kOpMsub = 0x47;
-constexpr std::uint32_t kOpNmsub = 0x4b;
-constexpr std::uint32_t kOpNmadd = 0x4f;
-constexpr std::uint32_t kOpFp = 0x53;
-constexpr std::uint32_t kOpBranch = 0x63;
-constexpr std::uint32_t kOpJalr = 0x67;
-constexpr std::uint32_t kOpJal = 0x6f;
-constexpr std::uint32_t kOpSystem = 0x73;
+// Immediate field packers; each asserts its range.
 
-constexpr std::uint32_t kRmDyn = 0b111;  // dynamic rounding mode
-constexpr std::uint32_t kFmtD = 0b01;    // double-precision fmt field
-
-std::uint32_t r_type(std::uint32_t funct7, unsigned rs2, unsigned rs1,
-                     std::uint32_t funct3, unsigned rd,
-                     std::uint32_t opcode) {
-  return (funct7 << 25) | (static_cast<std::uint32_t>(rs2) << 20) |
-         (static_cast<std::uint32_t>(rs1) << 15) | (funct3 << 12) |
-         (static_cast<std::uint32_t>(rd) << 7) | opcode;
-}
-
-std::uint32_t i_type(std::int32_t imm, unsigned rs1, std::uint32_t funct3,
-                     unsigned rd, std::uint32_t opcode) {
+std::uint32_t i_imm(std::int32_t imm) {
   assert(fits_signed(imm, 12));
-  return (static_cast<std::uint32_t>(imm & 0xfff) << 20) |
-         (static_cast<std::uint32_t>(rs1) << 15) | (funct3 << 12) |
-         (static_cast<std::uint32_t>(rd) << 7) | opcode;
+  return static_cast<std::uint32_t>(imm & 0xfff) << 20;
 }
 
-std::uint32_t s_type(std::int32_t imm, unsigned rs2, unsigned rs1,
-                     std::uint32_t funct3, std::uint32_t opcode) {
+std::uint32_t s_imm(std::int32_t imm) {
   assert(fits_signed(imm, 12));
   const auto u = static_cast<std::uint32_t>(imm & 0xfff);
-  return (bits(u, 11, 5) << 25) | (static_cast<std::uint32_t>(rs2) << 20) |
-         (static_cast<std::uint32_t>(rs1) << 15) | (funct3 << 12) |
-         (static_cast<std::uint32_t>(bits(u, 4, 0)) << 7) | opcode;
+  return (bits(u, 11, 5) << 25) | (bits(u, 4, 0) << 7);
 }
 
-std::uint32_t b_type(std::int32_t imm, unsigned rs2, unsigned rs1,
-                     std::uint32_t funct3) {
+std::uint32_t b_imm(std::int32_t imm) {
   assert(fits_signed(imm, 13) && (imm & 1) == 0);
   const auto u = static_cast<std::uint32_t>(imm & 0x1fff);
-  return (static_cast<std::uint32_t>(bit(u, 12)) << 31) |
-         (static_cast<std::uint32_t>(bits(u, 10, 5)) << 25) |
-         (static_cast<std::uint32_t>(rs2) << 20) |
-         (static_cast<std::uint32_t>(rs1) << 15) | (funct3 << 12) |
-         (static_cast<std::uint32_t>(bits(u, 4, 1)) << 8) |
-         (static_cast<std::uint32_t>(bit(u, 11)) << 7) | kOpBranch;
+  return (bit(u, 12) << 31) | (bits(u, 10, 5) << 25) | (bits(u, 4, 1) << 8) |
+         (bit(u, 11) << 7);
 }
 
-std::uint32_t u_type(std::int32_t imm, unsigned rd, std::uint32_t opcode) {
+std::uint32_t u_imm(std::int32_t imm) {
   // `imm` is the full 32-bit value with the low 12 bits zero.
   assert((imm & 0xfff) == 0);
-  return static_cast<std::uint32_t>(imm) |
-         (static_cast<std::uint32_t>(rd) << 7) | opcode;
+  return static_cast<std::uint32_t>(imm);
 }
 
-std::uint32_t j_type(std::int32_t imm, unsigned rd) {
+std::uint32_t j_imm(std::int32_t imm) {
   assert(fits_signed(imm, 21) && (imm & 1) == 0);
   const auto u = static_cast<std::uint32_t>(imm) & 0x1fffff;
-  return (static_cast<std::uint32_t>(bit(u, 20)) << 31) |
-         (static_cast<std::uint32_t>(bits(u, 10, 1)) << 21) |
-         (static_cast<std::uint32_t>(bit(u, 11)) << 20) |
-         (static_cast<std::uint32_t>(bits(u, 19, 12)) << 12) |
-         (static_cast<std::uint32_t>(rd) << 7) | kOpJal;
+  return (bit(u, 20) << 31) | (bits(u, 10, 1) << 21) | (bit(u, 11) << 20) |
+         (bits(u, 19, 12) << 12);
 }
 
-std::uint32_t r4_type(unsigned rs3, unsigned rs2, unsigned rs1, unsigned rd,
-                      std::uint32_t opcode) {
-  return (static_cast<std::uint32_t>(rs3) << 27) | (kFmtD << 25) |
-         (static_cast<std::uint32_t>(rs2) << 20) |
-         (static_cast<std::uint32_t>(rs1) << 15) | (kRmDyn << 12) |
-         (static_cast<std::uint32_t>(rd) << 7) | opcode;
+std::uint32_t shamt(std::int32_t imm) {
+  assert(imm >= 0 && imm < 64);
+  return static_cast<std::uint32_t>(imm) << 20;
 }
 
 // FREP (custom-1): [31:28] stagger_mask, [27:24] stagger_max,
@@ -103,451 +57,206 @@ std::uint32_t encode_frep(const Inst& inst) {
   assert(inst.frep_stagger_mask <= 15);
   return (static_cast<std::uint32_t>(inst.frep_stagger_mask) << 28) |
          (static_cast<std::uint32_t>(inst.frep_stagger_max) << 24) |
-         (static_cast<std::uint32_t>(inst.frep_insts) << 20) |
-         (static_cast<std::uint32_t>(inst.rs1) << 15) | kOpCustom1;
+         (static_cast<std::uint32_t>(inst.frep_insts) << 20);
 }
 
-std::uint32_t shift_imm(const Inst& inst, std::uint32_t funct6,
-                        std::uint32_t funct3) {
-  assert(inst.imm >= 0 && inst.imm < 64);
-  return (funct6 << 26) | (static_cast<std::uint32_t>(inst.imm) << 20) |
-         (static_cast<std::uint32_t>(inst.rs1) << 15) | (funct3 << 12) |
-         (static_cast<std::uint32_t>(inst.rd) << 7) | kOpImm;
+/// Every opcode's row grouped by major opcode: the rows of opcode `o` are
+/// ops[start[o] .. start[o + 1]).
+struct OpcodeIndex {
+  std::array<std::uint8_t, 129> start{};
+  std::array<Op, kNumOps> ops{};
+};
+
+constexpr OpcodeIndex build_opcode_index() {
+  OpcodeIndex x;
+  for (const OpInfo& r : kOpTable) {
+    if (r.op != Op::kInvalid) ++x.start[(r.fixed.bits & 0x7f) + 1];
+  }
+  for (std::size_t o = 0; o < 128; ++o) x.start[o + 1] += x.start[o];
+  std::array<std::uint8_t, 128> next{};
+  for (std::size_t o = 0; o < 128; ++o) next[o] = x.start[o];
+  for (const OpInfo& r : kOpTable) {
+    if (r.op != Op::kInvalid) x.ops[next[r.fixed.bits & 0x7f]++] = r.op;
+  }
+  return x;
+}
+
+constexpr OpcodeIndex kByOpcode = build_opcode_index();
+
+// Every row checks its whole major opcode, and no word matches two rows,
+// so the order decode tries an opcode's rows in cannot matter.
+static_assert(
+    [] {
+      for (const OpInfo& a : kOpTable) {
+        if (a.op == Op::kInvalid) continue;
+        if ((a.fixed.mask & 0x7f) != 0x7f) return false;
+        for (const OpInfo& b : kOpTable) {
+          if (b.op == Op::kInvalid || b.op == a.op) continue;
+          const std::uint32_t both = a.fixed.mask & b.fixed.mask;
+          if (((a.fixed.bits ^ b.fixed.bits) & both) == 0) return false;
+        }
+      }
+      return true;
+    }(),
+    "kOpTable encodings must be disjoint");
+
+std::span<const Op> rows_of_opcode(std::uint32_t opcode) {
+  return {kByOpcode.ops.data() + kByOpcode.start[opcode],
+          kByOpcode.ops.data() + kByOpcode.start[opcode + 1]};
 }
 
 }  // namespace
 
 insn_word_t encode(const Inst& i) {
-  switch (i.op) {
-    case Op::kLui: return u_type(i.imm, i.rd, kOpLui);
-    case Op::kAuipc: return u_type(i.imm, i.rd, kOpAuipc);
-    case Op::kJal: return j_type(i.imm, i.rd);
-    case Op::kJalr: return i_type(i.imm, i.rs1, 0b000, i.rd, kOpJalr);
-    case Op::kBeq: return b_type(i.imm, i.rs2, i.rs1, 0b000);
-    case Op::kBne: return b_type(i.imm, i.rs2, i.rs1, 0b001);
-    case Op::kBlt: return b_type(i.imm, i.rs2, i.rs1, 0b100);
-    case Op::kBge: return b_type(i.imm, i.rs2, i.rs1, 0b101);
-    case Op::kBltu: return b_type(i.imm, i.rs2, i.rs1, 0b110);
-    case Op::kBgeu: return b_type(i.imm, i.rs2, i.rs1, 0b111);
-    case Op::kLb: return i_type(i.imm, i.rs1, 0b000, i.rd, kOpLoad);
-    case Op::kLh: return i_type(i.imm, i.rs1, 0b001, i.rd, kOpLoad);
-    case Op::kLw: return i_type(i.imm, i.rs1, 0b010, i.rd, kOpLoad);
-    case Op::kLd: return i_type(i.imm, i.rs1, 0b011, i.rd, kOpLoad);
-    case Op::kLbu: return i_type(i.imm, i.rs1, 0b100, i.rd, kOpLoad);
-    case Op::kLhu: return i_type(i.imm, i.rs1, 0b101, i.rd, kOpLoad);
-    case Op::kLwu: return i_type(i.imm, i.rs1, 0b110, i.rd, kOpLoad);
-    case Op::kSb: return s_type(i.imm, i.rs2, i.rs1, 0b000, kOpStore);
-    case Op::kSh: return s_type(i.imm, i.rs2, i.rs1, 0b001, kOpStore);
-    case Op::kSw: return s_type(i.imm, i.rs2, i.rs1, 0b010, kOpStore);
-    case Op::kSd: return s_type(i.imm, i.rs2, i.rs1, 0b011, kOpStore);
-    case Op::kAddi: return i_type(i.imm, i.rs1, 0b000, i.rd, kOpImm);
-    case Op::kSlti: return i_type(i.imm, i.rs1, 0b010, i.rd, kOpImm);
-    case Op::kSltiu: return i_type(i.imm, i.rs1, 0b011, i.rd, kOpImm);
-    case Op::kXori: return i_type(i.imm, i.rs1, 0b100, i.rd, kOpImm);
-    case Op::kOri: return i_type(i.imm, i.rs1, 0b110, i.rd, kOpImm);
-    case Op::kAndi: return i_type(i.imm, i.rs1, 0b111, i.rd, kOpImm);
-    case Op::kSlli: return shift_imm(i, 0b000000, 0b001);
-    case Op::kSrli: return shift_imm(i, 0b000000, 0b101);
-    case Op::kSrai: return shift_imm(i, 0b010000, 0b101);
-    case Op::kAdd: return r_type(0b0000000, i.rs2, i.rs1, 0b000, i.rd, kOpReg);
-    case Op::kSub: return r_type(0b0100000, i.rs2, i.rs1, 0b000, i.rd, kOpReg);
-    case Op::kSll: return r_type(0b0000000, i.rs2, i.rs1, 0b001, i.rd, kOpReg);
-    case Op::kSlt: return r_type(0b0000000, i.rs2, i.rs1, 0b010, i.rd, kOpReg);
-    case Op::kSltu:
-      return r_type(0b0000000, i.rs2, i.rs1, 0b011, i.rd, kOpReg);
-    case Op::kXor: return r_type(0b0000000, i.rs2, i.rs1, 0b100, i.rd, kOpReg);
-    case Op::kSrl: return r_type(0b0000000, i.rs2, i.rs1, 0b101, i.rd, kOpReg);
-    case Op::kSra: return r_type(0b0100000, i.rs2, i.rs1, 0b101, i.rd, kOpReg);
-    case Op::kOr: return r_type(0b0000000, i.rs2, i.rs1, 0b110, i.rd, kOpReg);
-    case Op::kAnd: return r_type(0b0000000, i.rs2, i.rs1, 0b111, i.rd, kOpReg);
-    case Op::kFence: return i_type(0, 0, 0b000, 0, kOpMiscMem);
-    case Op::kEcall: return i_type(0, 0, 0b000, 0, kOpSystem);
-    case Op::kEbreak: return i_type(1, 0, 0b000, 0, kOpSystem);
-    case Op::kMul: return r_type(0b0000001, i.rs2, i.rs1, 0b000, i.rd, kOpReg);
-    case Op::kMulh: return r_type(0b0000001, i.rs2, i.rs1, 0b001, i.rd, kOpReg);
-    case Op::kDiv: return r_type(0b0000001, i.rs2, i.rs1, 0b100, i.rd, kOpReg);
-    case Op::kDivu: return r_type(0b0000001, i.rs2, i.rs1, 0b101, i.rd, kOpReg);
-    case Op::kRem: return r_type(0b0000001, i.rs2, i.rs1, 0b110, i.rd, kOpReg);
-    case Op::kRemu: return r_type(0b0000001, i.rs2, i.rs1, 0b111, i.rd, kOpReg);
-    case Op::kCsrrw:
-      return (static_cast<std::uint32_t>(i.csr) << 20) |
-             (static_cast<std::uint32_t>(i.rs1) << 15) | (0b001u << 12) |
-             (static_cast<std::uint32_t>(i.rd) << 7) | kOpSystem;
-    case Op::kCsrrs:
-      return (static_cast<std::uint32_t>(i.csr) << 20) |
-             (static_cast<std::uint32_t>(i.rs1) << 15) | (0b010u << 12) |
-             (static_cast<std::uint32_t>(i.rd) << 7) | kOpSystem;
-    case Op::kCsrrc:
-      return (static_cast<std::uint32_t>(i.csr) << 20) |
-             (static_cast<std::uint32_t>(i.rs1) << 15) | (0b011u << 12) |
-             (static_cast<std::uint32_t>(i.rd) << 7) | kOpSystem;
-    case Op::kCsrrwi:
-      return (static_cast<std::uint32_t>(i.csr) << 20) |
-             (static_cast<std::uint32_t>(i.imm & 0x1f) << 15) |
-             (0b101u << 12) | (static_cast<std::uint32_t>(i.rd) << 7) |
-             kOpSystem;
-    case Op::kCsrrsi:
-      return (static_cast<std::uint32_t>(i.csr) << 20) |
-             (static_cast<std::uint32_t>(i.imm & 0x1f) << 15) |
-             (0b110u << 12) | (static_cast<std::uint32_t>(i.rd) << 7) |
-             kOpSystem;
-    case Op::kCsrrci:
-      return (static_cast<std::uint32_t>(i.csr) << 20) |
-             (static_cast<std::uint32_t>(i.imm & 0x1f) << 15) |
-             (0b111u << 12) | (static_cast<std::uint32_t>(i.rd) << 7) |
-             kOpSystem;
-    case Op::kFld: return i_type(i.imm, i.rs1, 0b011, i.rd, kOpLoadFp);
-    case Op::kFsd: return s_type(i.imm, i.rs2, i.rs1, 0b011, kOpStoreFp);
-    case Op::kFmaddD: return r4_type(i.rs3, i.rs2, i.rs1, i.rd, kOpMadd);
-    case Op::kFmsubD: return r4_type(i.rs3, i.rs2, i.rs1, i.rd, kOpMsub);
-    case Op::kFnmsubD: return r4_type(i.rs3, i.rs2, i.rs1, i.rd, kOpNmsub);
-    case Op::kFnmaddD: return r4_type(i.rs3, i.rs2, i.rs1, i.rd, kOpNmadd);
-    case Op::kFaddD:
-      return r_type(0b0000001, i.rs2, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFsubD:
-      return r_type(0b0000101, i.rs2, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFmulD:
-      return r_type(0b0001001, i.rs2, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFdivD:
-      return r_type(0b0001101, i.rs2, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFsqrtD:
-      return r_type(0b0101101, 0, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFsgnjD:
-      return r_type(0b0010001, i.rs2, i.rs1, 0b000, i.rd, kOpFp);
-    case Op::kFsgnjnD:
-      return r_type(0b0010001, i.rs2, i.rs1, 0b001, i.rd, kOpFp);
-    case Op::kFsgnjxD:
-      return r_type(0b0010001, i.rs2, i.rs1, 0b010, i.rd, kOpFp);
-    case Op::kFminD:
-      return r_type(0b0010101, i.rs2, i.rs1, 0b000, i.rd, kOpFp);
-    case Op::kFmaxD:
-      return r_type(0b0010101, i.rs2, i.rs1, 0b001, i.rd, kOpFp);
-    case Op::kFcvtDW:
-      return r_type(0b1101001, 0b00000, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFcvtDWu:
-      return r_type(0b1101001, 0b00001, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFcvtWD:
-      return r_type(0b1100001, 0b00000, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFcvtWuD:
-      return r_type(0b1100001, 0b00001, i.rs1, kRmDyn, i.rd, kOpFp);
-    case Op::kFmvXD:
-      return r_type(0b1110001, 0b00000, i.rs1, 0b000, i.rd, kOpFp);
-    case Op::kFmvDX:
-      return r_type(0b1111001, 0b00000, i.rs1, 0b000, i.rd, kOpFp);
-    case Op::kFeqD:
-      return r_type(0b1010001, i.rs2, i.rs1, 0b010, i.rd, kOpFp);
-    case Op::kFltD:
-      return r_type(0b1010001, i.rs2, i.rs1, 0b001, i.rd, kOpFp);
-    case Op::kFleD:
-      return r_type(0b1010001, i.rs2, i.rs1, 0b000, i.rd, kOpFp);
-    case Op::kFrep: return encode_frep(i);
-    case Op::kInvalid: break;
+  assert(i.op != Op::kInvalid && "cannot encode invalid instruction");
+  const OpInfo& r = op_info(i.op);
+  std::uint32_t w = r.fixed.bits;
+  if (r.rd != RegFile::kNone) w |= static_cast<std::uint32_t>(i.rd) << 7;
+  if (r.rs1 != RegFile::kNone) w |= static_cast<std::uint32_t>(i.rs1) << 15;
+  if (r.rs2 != RegFile::kNone) w |= static_cast<std::uint32_t>(i.rs2) << 20;
+  if (r.rs3 != RegFile::kNone) w |= static_cast<std::uint32_t>(i.rs3) << 27;
+  switch (r.format) {
+    case Format::kFixed: case Format::kR: break;
+    case Format::kI: case Format::kIMem: w |= i_imm(i.imm); break;
+    case Format::kShift: w |= shamt(i.imm); break;
+    case Format::kS: w |= s_imm(i.imm); break;
+    case Format::kB: w |= b_imm(i.imm); break;
+    case Format::kU: w |= u_imm(i.imm); break;
+    case Format::kJ: w |= j_imm(i.imm); break;
+    case Format::kCsr: w |= static_cast<std::uint32_t>(i.csr) << 20; break;
+    case Format::kCsrImm:
+      w |= (static_cast<std::uint32_t>(i.csr) << 20) |
+           (static_cast<std::uint32_t>(i.imm & 0x1f) << 15);
+      break;
+    case Format::kFrep: w |= encode_frep(i); break;
   }
-  assert(false && "cannot encode invalid instruction");
-  return 0;
+  return w;
 }
-
-namespace {
-
-Inst make(Op op, unsigned rd, unsigned rs1, unsigned rs2, std::int32_t imm) {
-  Inst i;
-  i.op = op;
-  i.rd = static_cast<std::uint8_t>(rd);
-  i.rs1 = static_cast<std::uint8_t>(rs1);
-  i.rs2 = static_cast<std::uint8_t>(rs2);
-  i.imm = imm;
-  return i;
-}
-
-}  // namespace
 
 std::optional<Inst> decode(insn_word_t w) {
-  const std::uint32_t opcode = bits(w, 6, 0);
-  const auto rd = static_cast<unsigned>(bits(w, 11, 7));
-  const auto funct3 = static_cast<std::uint32_t>(bits(w, 14, 12));
-  const auto rs1 = static_cast<unsigned>(bits(w, 19, 15));
-  const auto rs2 = static_cast<unsigned>(bits(w, 24, 20));
-  const auto funct7 = static_cast<std::uint32_t>(bits(w, 31, 25));
-  const auto i_imm = static_cast<std::int32_t>(sign_extend(bits(w, 31, 20), 12));
-  const auto s_imm = static_cast<std::int32_t>(
-      sign_extend((bits(w, 31, 25) << 5) | bits(w, 11, 7), 12));
-  const auto b_imm = static_cast<std::int32_t>(
-      sign_extend((bit(w, 31) << 12) | (bit(w, 7) << 11) |
-                      (bits(w, 30, 25) << 5) | (bits(w, 11, 8) << 1),
-                  13));
-  const auto u_imm = static_cast<std::int32_t>(w & 0xfffff000u);
-  const auto j_imm = static_cast<std::int32_t>(
-      sign_extend((bit(w, 31) << 20) | (bits(w, 19, 12) << 12) |
-                      (bit(w, 20) << 11) | (bits(w, 30, 21) << 1),
-                  21));
-
-  switch (opcode) {
-    case kOpLui: return make(Op::kLui, rd, 0, 0, u_imm);
-    case kOpAuipc: return make(Op::kAuipc, rd, 0, 0, u_imm);
-    case kOpJal: return make(Op::kJal, rd, 0, 0, j_imm);
-    case kOpJalr:
-      if (funct3 != 0) return std::nullopt;
-      return make(Op::kJalr, rd, rs1, 0, i_imm);
-    case kOpBranch: {
-      static constexpr Op kOps[8] = {Op::kBeq, Op::kBne, Op::kInvalid,
-                                     Op::kInvalid, Op::kBlt, Op::kBge,
-                                     Op::kBltu, Op::kBgeu};
-      const Op op = kOps[funct3];
-      if (op == Op::kInvalid) return std::nullopt;
-      return make(op, 0, rs1, rs2, b_imm);
+  for (const Op op : rows_of_opcode(bits(w, 6, 0))) {
+    const OpInfo& r = op_info(op);
+    if ((w & r.fixed.mask) != (r.fixed.bits & r.fixed.mask)) continue;
+    Inst i;
+    i.op = op;
+    if (r.rd != RegFile::kNone) {
+      i.rd = static_cast<std::uint8_t>(bits(w, 11, 7));
     }
-    case kOpLoad: {
-      static constexpr Op kOps[8] = {Op::kLb, Op::kLh, Op::kLw, Op::kLd,
-                                     Op::kLbu, Op::kLhu, Op::kLwu,
-                                     Op::kInvalid};
-      const Op op = kOps[funct3];
-      if (op == Op::kInvalid) return std::nullopt;
-      return make(op, rd, rs1, 0, i_imm);
+    if (r.rs1 != RegFile::kNone) {
+      i.rs1 = static_cast<std::uint8_t>(bits(w, 19, 15));
     }
-    case kOpStore: {
-      static constexpr Op kOps[8] = {Op::kSb, Op::kSh, Op::kSw, Op::kSd,
-                                     Op::kInvalid, Op::kInvalid, Op::kInvalid,
-                                     Op::kInvalid};
-      const Op op = kOps[funct3];
-      if (op == Op::kInvalid) return std::nullopt;
-      return make(op, 0, rs1, rs2, s_imm);
+    if (r.rs2 != RegFile::kNone) {
+      i.rs2 = static_cast<std::uint8_t>(bits(w, 24, 20));
     }
-    case kOpImm:
-      switch (funct3) {
-        case 0b000: return make(Op::kAddi, rd, rs1, 0, i_imm);
-        case 0b010: return make(Op::kSlti, rd, rs1, 0, i_imm);
-        case 0b011: return make(Op::kSltiu, rd, rs1, 0, i_imm);
-        case 0b100: return make(Op::kXori, rd, rs1, 0, i_imm);
-        case 0b110: return make(Op::kOri, rd, rs1, 0, i_imm);
-        case 0b111: return make(Op::kAndi, rd, rs1, 0, i_imm);
-        case 0b001:
-          if (bits(w, 31, 26) != 0) return std::nullopt;
-          return make(Op::kSlli, rd, rs1, 0,
-                      static_cast<std::int32_t>(bits(w, 25, 20)));
-        case 0b101: {
-          const auto funct6 = bits(w, 31, 26);
-          const auto shamt = static_cast<std::int32_t>(bits(w, 25, 20));
-          if (funct6 == 0b000000) return make(Op::kSrli, rd, rs1, 0, shamt);
-          if (funct6 == 0b010000) return make(Op::kSrai, rd, rs1, 0, shamt);
-          return std::nullopt;
-        }
-      }
-      return std::nullopt;
-    case kOpReg: {
-      if (funct7 == 0b0000001) {
-        static constexpr Op kOps[8] = {Op::kMul, Op::kMulh, Op::kInvalid,
-                                       Op::kInvalid, Op::kDiv, Op::kDivu,
-                                       Op::kRem, Op::kRemu};
-        const Op op = kOps[funct3];
-        if (op == Op::kInvalid) return std::nullopt;
-        return make(op, rd, rs1, rs2, 0);
-      }
-      if (funct7 == 0b0000000) {
-        static constexpr Op kOps[8] = {Op::kAdd, Op::kSll, Op::kSlt,
-                                       Op::kSltu, Op::kXor, Op::kSrl,
-                                       Op::kOr, Op::kAnd};
-        return make(kOps[funct3], rd, rs1, rs2, 0);
-      }
-      if (funct7 == 0b0100000) {
-        if (funct3 == 0b000) return make(Op::kSub, rd, rs1, rs2, 0);
-        if (funct3 == 0b101) return make(Op::kSra, rd, rs1, rs2, 0);
-        return std::nullopt;
-      }
-      return std::nullopt;
+    if (r.rs3 != RegFile::kNone) {
+      i.rs3 = static_cast<std::uint8_t>(bits(w, 31, 27));
     }
-    case kOpMiscMem:
-      if (funct3 != 0) return std::nullopt;
-      return make(Op::kFence, 0, 0, 0, 0);
-    case kOpSystem: {
-      if (funct3 == 0b000) {
-        if (i_imm == 0) return make(Op::kEcall, 0, 0, 0, 0);
-        if (i_imm == 1) return make(Op::kEbreak, 0, 0, 0, 0);
-        return std::nullopt;
-      }
-      static constexpr Op kOps[8] = {Op::kInvalid, Op::kCsrrw, Op::kCsrrs,
-                                     Op::kCsrrc, Op::kInvalid, Op::kCsrrwi,
-                                     Op::kCsrrsi, Op::kCsrrci};
-      const Op op = kOps[funct3];
-      if (op == Op::kInvalid) return std::nullopt;
-      Inst inst;
-      inst.op = op;
-      inst.rd = static_cast<std::uint8_t>(rd);
-      inst.csr = static_cast<std::uint16_t>(bits(w, 31, 20));
-      if (funct3 >= 0b101) {
-        inst.imm = static_cast<std::int32_t>(rs1);  // zimm
-      } else {
-        inst.rs1 = static_cast<std::uint8_t>(rs1);
-      }
-      return inst;
+    switch (r.format) {
+      case Format::kFixed: case Format::kR: break;
+      case Format::kI: case Format::kIMem:
+        i.imm = static_cast<std::int32_t>(sign_extend(bits(w, 31, 20), 12));
+        break;
+      case Format::kShift:
+        i.imm = static_cast<std::int32_t>(bits(w, 25, 20));
+        break;
+      case Format::kS:
+        i.imm = static_cast<std::int32_t>(
+            sign_extend((bits(w, 31, 25) << 5) | bits(w, 11, 7), 12));
+        break;
+      case Format::kB:
+        i.imm = static_cast<std::int32_t>(
+            sign_extend((bit(w, 31) << 12) | (bit(w, 7) << 11) |
+                            (bits(w, 30, 25) << 5) | (bits(w, 11, 8) << 1),
+                        13));
+        break;
+      case Format::kU:
+        i.imm = static_cast<std::int32_t>(w & 0xfffff000u);
+        break;
+      case Format::kJ:
+        i.imm = static_cast<std::int32_t>(
+            sign_extend((bit(w, 31) << 20) | (bits(w, 19, 12) << 12) |
+                            (bit(w, 20) << 11) | (bits(w, 30, 21) << 1),
+                        21));
+        break;
+      case Format::kCsr:
+        i.csr = static_cast<std::uint16_t>(bits(w, 31, 20));
+        break;
+      case Format::kCsrImm:
+        i.csr = static_cast<std::uint16_t>(bits(w, 31, 20));
+        i.imm = static_cast<std::int32_t>(bits(w, 19, 15));  // zimm
+        break;
+      case Format::kFrep:
+        // frep_insts == 0 decodes to a complete no-op loop (the sequencer
+        // handles it explicitly); the assembler never emits it, but a
+        // hand-built image may, and rejecting it here would turn a
+        // defined encoding into a fetch fault.
+        i.frep_insts = static_cast<std::uint8_t>(bits(w, 23, 20));
+        i.frep_stagger_max = static_cast<std::uint8_t>(bits(w, 27, 24));
+        i.frep_stagger_mask = static_cast<std::uint8_t>(bits(w, 31, 28));
+        break;
     }
-    case kOpLoadFp:
-      if (funct3 != 0b011) return std::nullopt;
-      return make(Op::kFld, rd, rs1, 0, i_imm);
-    case kOpStoreFp:
-      if (funct3 != 0b011) return std::nullopt;
-      return make(Op::kFsd, 0, rs1, rs2, s_imm);
-    case kOpMadd: case kOpMsub: case kOpNmsub: case kOpNmadd: {
-      if (bits(w, 26, 25) != kFmtD) return std::nullopt;
-      Inst inst;
-      inst.op = opcode == kOpMadd    ? Op::kFmaddD
-                : opcode == kOpMsub  ? Op::kFmsubD
-                : opcode == kOpNmsub ? Op::kFnmsubD
-                                     : Op::kFnmaddD;
-      inst.rd = static_cast<std::uint8_t>(rd);
-      inst.rs1 = static_cast<std::uint8_t>(rs1);
-      inst.rs2 = static_cast<std::uint8_t>(rs2);
-      inst.rs3 = static_cast<std::uint8_t>(bits(w, 31, 27));
-      return inst;
-    }
-    case kOpFp:
-      switch (funct7) {
-        case 0b0000001: return make(Op::kFaddD, rd, rs1, rs2, 0);
-        case 0b0000101: return make(Op::kFsubD, rd, rs1, rs2, 0);
-        case 0b0001001: return make(Op::kFmulD, rd, rs1, rs2, 0);
-        case 0b0001101: return make(Op::kFdivD, rd, rs1, rs2, 0);
-        case 0b0101101: return make(Op::kFsqrtD, rd, rs1, 0, 0);
-        case 0b0010001:
-          if (funct3 == 0b000) return make(Op::kFsgnjD, rd, rs1, rs2, 0);
-          if (funct3 == 0b001) return make(Op::kFsgnjnD, rd, rs1, rs2, 0);
-          if (funct3 == 0b010) return make(Op::kFsgnjxD, rd, rs1, rs2, 0);
-          return std::nullopt;
-        case 0b0010101:
-          if (funct3 == 0b000) return make(Op::kFminD, rd, rs1, rs2, 0);
-          if (funct3 == 0b001) return make(Op::kFmaxD, rd, rs1, rs2, 0);
-          return std::nullopt;
-        case 0b1101001:
-          if (rs2 == 0) return make(Op::kFcvtDW, rd, rs1, 0, 0);
-          if (rs2 == 1) return make(Op::kFcvtDWu, rd, rs1, 0, 0);
-          return std::nullopt;
-        case 0b1100001:
-          if (rs2 == 0) return make(Op::kFcvtWD, rd, rs1, 0, 0);
-          if (rs2 == 1) return make(Op::kFcvtWuD, rd, rs1, 0, 0);
-          return std::nullopt;
-        case 0b1110001:
-          if (funct3 == 0 && rs2 == 0) return make(Op::kFmvXD, rd, rs1, 0, 0);
-          return std::nullopt;
-        case 0b1111001:
-          if (funct3 == 0 && rs2 == 0) return make(Op::kFmvDX, rd, rs1, 0, 0);
-          return std::nullopt;
-        case 0b1010001:
-          if (funct3 == 0b010) return make(Op::kFeqD, rd, rs1, rs2, 0);
-          if (funct3 == 0b001) return make(Op::kFltD, rd, rs1, rs2, 0);
-          if (funct3 == 0b000) return make(Op::kFleD, rd, rs1, rs2, 0);
-          return std::nullopt;
-        default:
-          return std::nullopt;
-      }
-    case kOpCustom1: {
-      if (funct3 != 0 || rd != 0) return std::nullopt;
-      Inst inst;
-      inst.op = Op::kFrep;
-      inst.rs1 = static_cast<std::uint8_t>(rs1);
-      inst.frep_insts = static_cast<std::uint8_t>(bits(w, 23, 20));
-      inst.frep_stagger_max = static_cast<std::uint8_t>(bits(w, 27, 24));
-      inst.frep_stagger_mask = static_cast<std::uint8_t>(bits(w, 31, 28));
-      // frep_insts == 0 decodes to a complete no-op loop (the sequencer
-      // handles it explicitly); the assembler never emits it, but a
-      // hand-built image may, and rejecting it here would turn a defined
-      // encoding into a fetch fault.
-      return inst;
-    }
-    default:
-      return std::nullopt;
+    return i;
   }
+  return std::nullopt;
 }
 
 std::string disassemble(const Inst& i) {
+  const OpInfo& r = op_info(i.op);
+  const auto reg = [](RegFile file, unsigned idx) {
+    return file == RegFile::kF ? freg_name(idx) : xreg_name(idx);
+  };
+  const char* n = r.name;
+  const char* rd = reg(r.rd, i.rd);
+  const char* rs1 = reg(r.rs1, i.rs1);
+  const char* rs2 = reg(r.rs2, i.rs2);
   char buf[128];
-  const char* n = op_name(i.op);
-  switch (i.op) {
-    case Op::kLui: case Op::kAuipc:
-      std::snprintf(buf, sizeof buf, "%s %s, 0x%x", n, xreg_name(i.rd),
+  switch (r.format) {
+    case Format::kFixed:
+      return n;
+    case Format::kR: {
+      // Every register operand, in rd, rs1, rs2, rs3 order.
+      std::string out = n;
+      const char* sep = " ";
+      const std::pair<RegFile, unsigned> regs[] = {
+          {r.rd, i.rd}, {r.rs1, i.rs1}, {r.rs2, i.rs2}, {r.rs3, i.rs3}};
+      for (const auto& [file, idx] : regs) {
+        if (file == RegFile::kNone) continue;
+        out += sep;
+        out += reg(file, idx);
+        sep = ", ";
+      }
+      return out;
+    }
+    case Format::kI: case Format::kShift:
+      std::snprintf(buf, sizeof buf, "%s %s, %s, %d", n, rd, rs1, i.imm);
+      break;
+    case Format::kIMem:
+      std::snprintf(buf, sizeof buf, "%s %s, %d(%s)", n, rd, i.imm, rs1);
+      break;
+    case Format::kS:
+      std::snprintf(buf, sizeof buf, "%s %s, %d(%s)", n, rs2, i.imm, rs1);
+      break;
+    case Format::kB:
+      std::snprintf(buf, sizeof buf, "%s %s, %s, %d", n, rs1, rs2, i.imm);
+      break;
+    case Format::kU:
+      std::snprintf(buf, sizeof buf, "%s %s, 0x%x", n, rd,
                     static_cast<unsigned>(i.imm) >> 12);
       break;
-    case Op::kJal:
-      std::snprintf(buf, sizeof buf, "%s %s, %d", n, xreg_name(i.rd), i.imm);
+    case Format::kJ:
+      std::snprintf(buf, sizeof buf, "%s %s, %d", n, rd, i.imm);
       break;
-    case Op::kJalr:
-      std::snprintf(buf, sizeof buf, "%s %s, %d(%s)", n, xreg_name(i.rd),
-                    i.imm, xreg_name(i.rs1));
+    case Format::kCsr:
+      std::snprintf(buf, sizeof buf, "%s %s, 0x%x, %s", n, rd, i.csr, rs1);
       break;
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu:
-      std::snprintf(buf, sizeof buf, "%s %s, %s, %d", n, xreg_name(i.rs1),
-                    xreg_name(i.rs2), i.imm);
+    case Format::kCsrImm:
+      std::snprintf(buf, sizeof buf, "%s %s, 0x%x, %d", n, rd, i.csr, i.imm);
       break;
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd: case Op::kLbu:
-    case Op::kLhu: case Op::kLwu:
-      std::snprintf(buf, sizeof buf, "%s %s, %d(%s)", n, xreg_name(i.rd),
-                    i.imm, xreg_name(i.rs1));
-      break;
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
-      std::snprintf(buf, sizeof buf, "%s %s, %d(%s)", n, xreg_name(i.rs2),
-                    i.imm, xreg_name(i.rs1));
-      break;
-    case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
-    case Op::kOri: case Op::kAndi: case Op::kSlli: case Op::kSrli:
-    case Op::kSrai:
-      std::snprintf(buf, sizeof buf, "%s %s, %s, %d", n, xreg_name(i.rd),
-                    xreg_name(i.rs1), i.imm);
-      break;
-    case Op::kAdd: case Op::kSub: case Op::kSll: case Op::kSlt:
-    case Op::kSltu: case Op::kXor: case Op::kSrl: case Op::kSra:
-    case Op::kOr: case Op::kAnd: case Op::kMul: case Op::kMulh:
-    case Op::kDiv: case Op::kDivu: case Op::kRem: case Op::kRemu:
-      std::snprintf(buf, sizeof buf, "%s %s, %s, %s", n, xreg_name(i.rd),
-                    xreg_name(i.rs1), xreg_name(i.rs2));
-      break;
-    case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
-      std::snprintf(buf, sizeof buf, "%s %s, 0x%x, %s", n, xreg_name(i.rd),
-                    i.csr, xreg_name(i.rs1));
-      break;
-    case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
-      std::snprintf(buf, sizeof buf, "%s %s, 0x%x, %d", n, xreg_name(i.rd),
-                    i.csr, i.imm);
-      break;
-    case Op::kFld:
-      std::snprintf(buf, sizeof buf, "%s %s, %d(%s)", n, freg_name(i.rd),
-                    i.imm, xreg_name(i.rs1));
-      break;
-    case Op::kFsd:
-      std::snprintf(buf, sizeof buf, "%s %s, %d(%s)", n, freg_name(i.rs2),
-                    i.imm, xreg_name(i.rs1));
-      break;
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-      std::snprintf(buf, sizeof buf, "%s %s, %s, %s, %s", n, freg_name(i.rd),
-                    freg_name(i.rs1), freg_name(i.rs2), freg_name(i.rs3));
-      break;
-    case Op::kFaddD: case Op::kFsubD: case Op::kFmulD: case Op::kFdivD:
-    case Op::kFsgnjD: case Op::kFsgnjnD: case Op::kFsgnjxD: case Op::kFminD:
-    case Op::kFmaxD:
-      std::snprintf(buf, sizeof buf, "%s %s, %s, %s", n, freg_name(i.rd),
-                    freg_name(i.rs1), freg_name(i.rs2));
-      break;
-    case Op::kFsqrtD:
-      std::snprintf(buf, sizeof buf, "%s %s, %s", n, freg_name(i.rd),
-                    freg_name(i.rs1));
-      break;
-    case Op::kFcvtDW: case Op::kFcvtDWu: case Op::kFmvDX:
-      std::snprintf(buf, sizeof buf, "%s %s, %s", n, freg_name(i.rd),
-                    xreg_name(i.rs1));
-      break;
-    case Op::kFcvtWD: case Op::kFcvtWuD: case Op::kFmvXD:
-      std::snprintf(buf, sizeof buf, "%s %s, %s", n, xreg_name(i.rd),
-                    freg_name(i.rs1));
-      break;
-    case Op::kFeqD: case Op::kFltD: case Op::kFleD:
-      std::snprintf(buf, sizeof buf, "%s %s, %s, %s", n, xreg_name(i.rd),
-                    freg_name(i.rs1), freg_name(i.rs2));
-      break;
-    case Op::kFrep:
+    case Format::kFrep:
       std::snprintf(buf, sizeof buf,
                     "%s %s, insts=%u, stagger_max=%u, stagger_mask=0x%x", n,
-                    xreg_name(i.rs1), i.frep_insts, i.frep_stagger_max,
+                    rs1, i.frep_insts, i.frep_stagger_max,
                     i.frep_stagger_mask);
-      break;
-    case Op::kFence: case Op::kEcall: case Op::kEbreak: case Op::kInvalid:
-      std::snprintf(buf, sizeof buf, "%s", n);
       break;
   }
   return buf;

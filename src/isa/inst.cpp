@@ -19,208 +19,4 @@ const char* freg_name(unsigned idx) {
   return idx < 32 ? kNames[idx] : "f?";
 }
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kInvalid: return "<invalid>";
-    case Op::kLui: return "lui";
-    case Op::kAuipc: return "auipc";
-    case Op::kJal: return "jal";
-    case Op::kJalr: return "jalr";
-    case Op::kBeq: return "beq";
-    case Op::kBne: return "bne";
-    case Op::kBlt: return "blt";
-    case Op::kBge: return "bge";
-    case Op::kBltu: return "bltu";
-    case Op::kBgeu: return "bgeu";
-    case Op::kLb: return "lb";
-    case Op::kLh: return "lh";
-    case Op::kLw: return "lw";
-    case Op::kLd: return "ld";
-    case Op::kLbu: return "lbu";
-    case Op::kLhu: return "lhu";
-    case Op::kLwu: return "lwu";
-    case Op::kSb: return "sb";
-    case Op::kSh: return "sh";
-    case Op::kSw: return "sw";
-    case Op::kSd: return "sd";
-    case Op::kAddi: return "addi";
-    case Op::kSlti: return "slti";
-    case Op::kSltiu: return "sltiu";
-    case Op::kXori: return "xori";
-    case Op::kOri: return "ori";
-    case Op::kAndi: return "andi";
-    case Op::kSlli: return "slli";
-    case Op::kSrli: return "srli";
-    case Op::kSrai: return "srai";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kSll: return "sll";
-    case Op::kSlt: return "slt";
-    case Op::kSltu: return "sltu";
-    case Op::kXor: return "xor";
-    case Op::kSrl: return "srl";
-    case Op::kSra: return "sra";
-    case Op::kOr: return "or";
-    case Op::kAnd: return "and";
-    case Op::kFence: return "fence";
-    case Op::kEcall: return "ecall";
-    case Op::kEbreak: return "ebreak";
-    case Op::kMul: return "mul";
-    case Op::kMulh: return "mulh";
-    case Op::kDiv: return "div";
-    case Op::kDivu: return "divu";
-    case Op::kRem: return "rem";
-    case Op::kRemu: return "remu";
-    case Op::kCsrrw: return "csrrw";
-    case Op::kCsrrs: return "csrrs";
-    case Op::kCsrrc: return "csrrc";
-    case Op::kCsrrwi: return "csrrwi";
-    case Op::kCsrrsi: return "csrrsi";
-    case Op::kCsrrci: return "csrrci";
-    case Op::kFld: return "fld";
-    case Op::kFsd: return "fsd";
-    case Op::kFmaddD: return "fmadd.d";
-    case Op::kFmsubD: return "fmsub.d";
-    case Op::kFnmsubD: return "fnmsub.d";
-    case Op::kFnmaddD: return "fnmadd.d";
-    case Op::kFaddD: return "fadd.d";
-    case Op::kFsubD: return "fsub.d";
-    case Op::kFmulD: return "fmul.d";
-    case Op::kFdivD: return "fdiv.d";
-    case Op::kFsqrtD: return "fsqrt.d";
-    case Op::kFsgnjD: return "fsgnj.d";
-    case Op::kFsgnjnD: return "fsgnjn.d";
-    case Op::kFsgnjxD: return "fsgnjx.d";
-    case Op::kFminD: return "fmin.d";
-    case Op::kFmaxD: return "fmax.d";
-    case Op::kFcvtDW: return "fcvt.d.w";
-    case Op::kFcvtDWu: return "fcvt.d.wu";
-    case Op::kFcvtWD: return "fcvt.w.d";
-    case Op::kFcvtWuD: return "fcvt.wu.d";
-    case Op::kFmvXD: return "fmv.x.d";
-    case Op::kFmvDX: return "fmv.d.x";
-    case Op::kFeqD: return "feq.d";
-    case Op::kFltD: return "flt.d";
-    case Op::kFleD: return "fle.d";
-    case Op::kFrep: return "frep";
-  }
-  return "<invalid>";
-}
-
-bool op_is_branch(Op op) {
-  switch (op) {
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool op_is_int_load(Op op) {
-  switch (op) {
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool op_is_store(Op op) {
-  switch (op) {
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: case Op::kFsd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool op_is_fpss(Op op) {
-  switch (op) {
-    case Op::kFld: case Op::kFsd:
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-    case Op::kFaddD: case Op::kFsubD: case Op::kFmulD: case Op::kFdivD:
-    case Op::kFsqrtD:
-    case Op::kFsgnjD: case Op::kFsgnjnD: case Op::kFsgnjxD:
-    case Op::kFminD: case Op::kFmaxD:
-    case Op::kFcvtDW: case Op::kFcvtDWu: case Op::kFcvtWD: case Op::kFcvtWuD:
-    case Op::kFmvXD: case Op::kFmvDX:
-    case Op::kFeqD: case Op::kFltD: case Op::kFleD:
-    case Op::kFrep:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool op_fp_to_int(Op op) {
-  switch (op) {
-    case Op::kFcvtWD: case Op::kFcvtWuD: case Op::kFmvXD:
-    case Op::kFeqD: case Op::kFltD: case Op::kFleD:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool op_int_to_fp(Op op) {
-  return op == Op::kFcvtDW || op == Op::kFcvtDWu || op == Op::kFmvDX;
-}
-
-unsigned op_fp_srcs(Op op) {
-  switch (op) {
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-      return 3;
-    case Op::kFaddD: case Op::kFsubD: case Op::kFmulD: case Op::kFdivD:
-    case Op::kFsgnjD: case Op::kFsgnjnD: case Op::kFsgnjxD:
-    case Op::kFminD: case Op::kFmaxD:
-    case Op::kFeqD: case Op::kFltD: case Op::kFleD:
-      return 2;
-    case Op::kFsqrtD: case Op::kFcvtWD: case Op::kFcvtWuD: case Op::kFmvXD:
-    case Op::kFsd:
-      return 1;
-    default:
-      return 0;
-  }
-}
-
-bool op_writes_fp_rd(Op op) {
-  switch (op) {
-    case Op::kFld:
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-    case Op::kFaddD: case Op::kFsubD: case Op::kFmulD: case Op::kFdivD:
-    case Op::kFsqrtD:
-    case Op::kFsgnjD: case Op::kFsgnjnD: case Op::kFsgnjxD:
-    case Op::kFminD: case Op::kFmaxD:
-    case Op::kFcvtDW: case Op::kFcvtDWu: case Op::kFmvDX:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool op_is_fp_compute(Op op) {
-  switch (op) {
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-    case Op::kFaddD: case Op::kFsubD: case Op::kFmulD: case Op::kFdivD:
-    case Op::kFsqrtD: case Op::kFminD: case Op::kFmaxD:
-      return true;
-    default:
-      return false;
-  }
-}
-
-unsigned op_flops(Op op) {
-  switch (op) {
-    case Op::kFmaddD: case Op::kFmsubD: case Op::kFnmsubD: case Op::kFnmaddD:
-      return 2;
-    case Op::kFaddD: case Op::kFsubD: case Op::kFmulD: case Op::kFdivD:
-    case Op::kFsqrtD: case Op::kFminD: case Op::kFmaxD:
-      return 1;
-    default:
-      return 0;
-  }
-}
-
 }  // namespace issr::isa
