@@ -357,7 +357,7 @@ SweepOutcome run_sweep(const SweepSpec& spec) {
     for (auto& r : out.results) r.ok = false;
   }
 
-  out.stats.runs = total_tasks;
+  out.stats.runs = taken;
   out.stats.host_retries = retries_total.load();
   for (const auto& r : out.results) {
     if (r.skipped) {

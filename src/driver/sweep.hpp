@@ -64,7 +64,9 @@ struct SweepSpec {
 /// Execution telemetry for one sweep (observational only — nothing here
 /// feeds the result files).
 struct SweepStats {
-  std::size_t runs = 0;    ///< simulations executed (scenarios x reps)
+  /// Simulations executed: scenarios x reps, less the tasks a
+  /// --fail-fast stop left untaken.
+  std::size_t runs = 0;
   /// Inert (always 0): kept only for perfbench, see ROADMAP item 6.
   std::size_t steals = 0;
   std::size_t fault_rows = 0;    ///< result rows carrying a Fault

@@ -549,6 +549,9 @@ TEST(SweepFaults, FailFastSkipsRemainingRows) {
       sweep(scenarios, 1, &p, /*retries=*/0, /*fail_fast=*/true);
   EXPECT_EQ(out.stats.fault_rows, 1u);
   EXPECT_EQ(out.stats.skipped_rows, scenarios.size() - 1);
+  // Only the run that happened counts, in the stats and the host metrics.
+  EXPECT_EQ(out.stats.runs, 1u);
+  EXPECT_EQ(out.host_metrics.value("host_runs"), 1.0);
   unsigned skipped = 0;
   for (const auto& r : out.results) {
     if (r.skipped) {
@@ -582,6 +585,9 @@ TEST(SweepFaults, FailFastSkipsRemainingRows) {
     const char* want = k < mid ? "ok" : k == mid ? "fault" : "skipped";
     EXPECT_STREQ(driver::row_status(r), want) << r.scenario.name();
   }
+  EXPECT_EQ(cut.stats.runs, mid + 1);
+  EXPECT_EQ(cut.host_metrics.value("host_runs"),
+            static_cast<double>(mid + 1));
 }
 
 // --- v6 reporting ------------------------------------------------------------
