@@ -144,7 +144,6 @@ class Cluster {
   /// completed) before the run can end. Defaults to true when no
   /// controller is installed.
   void set_controller_done(bool done) { controller_done_ = done; }
-  bool controller_done() const { return controller_done_; }
 
   /// Watchdog hint: a controller that is provably inert until cycle `c`
   /// (e.g. parked on the inter-cluster barrier with no DMA in flight)

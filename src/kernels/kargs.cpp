@@ -53,34 +53,6 @@ void emit_indirect_job(Assembler& a, unsigned lane, addr_t data_base,
                  data_base);
 }
 
-void emit_affine_job_reg(Assembler& a, unsigned lane, Xreg base,
-                         Xreg count_m1, std::int64_t stride_bytes,
-                         bool write) {
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kReps), kZero);
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kBound0), count_m1);
-  a.li(kT6, stride_bytes);
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kStride0), kT6);
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kIdxCfg), kZero);
-  a.csrrw(kZero, ssr_csr(lane, write ? SsrCfgReg::kWptr : SsrCfgReg::kRptr),
-          base);
-}
-
-void emit_indirect_job_reg(Assembler& a, unsigned lane, Xreg data_base,
-                           Xreg idx_base, Xreg count_m1,
-                           sparse::IndexWidth width, unsigned idx_shift,
-                           bool write) {
-  const std::uint64_t idx_cfg =
-      (width == sparse::IndexWidth::kU16 ? kIdxCfgIdx16 : kIdxCfgIdx32) |
-      (static_cast<std::uint64_t>(idx_shift) << kIdxCfgShiftLsb);
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kReps), kZero);
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kBound0), count_m1);
-  a.li(kT6, static_cast<std::int64_t>(idx_cfg));
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kIdxCfg), kT6);
-  a.csrrw(kZero, ssr_csr(lane, SsrCfgReg::kIdxBase), idx_base);
-  a.csrrw(kZero, ssr_csr(lane, write ? SsrCfgReg::kWptr : SsrCfgReg::kRptr),
-          data_base);
-}
-
 void emit_ssr_enable(Assembler& a) { a.csrrsi(kZero, kCsrSsrEnable, 1); }
 
 void emit_fpss_sync(Assembler& a) { a.csrrs(kZero, kCsrFpssSync, kZero); }

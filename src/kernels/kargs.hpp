@@ -50,17 +50,6 @@ void emit_indirect_job(isa::Assembler& a, unsigned lane, addr_t data_base,
                        sparse::IndexWidth width, unsigned idx_shift = 0,
                        bool write = false);
 
-/// Variants of the two above taking the data pointer and element count
-/// from registers (used by the cluster kernels whose tile addresses are
-/// only known at run time). Count register holds count-1. Clobbers t6.
-void emit_affine_job_reg(isa::Assembler& a, unsigned lane, isa::Xreg base,
-                         isa::Xreg count_m1, std::int64_t stride_bytes = 8,
-                         bool write = false);
-void emit_indirect_job_reg(isa::Assembler& a, unsigned lane,
-                           isa::Xreg data_base, isa::Xreg idx_base,
-                           isa::Xreg count_m1, sparse::IndexWidth width,
-                           unsigned idx_shift = 0, bool write = false);
-
 /// Enable / disable stream-register redirection.
 void emit_ssr_enable(isa::Assembler& a);
 /// Synchronize with the FPU subsystem, then disable redirection.

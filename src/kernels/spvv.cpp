@@ -125,11 +125,4 @@ isa::Program build_spvv(Variant variant, const SpvvArgs& args) {
   return a.assemble();
 }
 
-std::uint64_t issr_spvv_fp_ops(std::uint32_t nnz, sparse::IndexWidth width) {
-  if (nnz == 0) return 0;
-  const unsigned n_acc = accumulators_for(width);
-  // nnz fmadds + zero-init fcvt (not compute) + pairwise reduction fadds.
-  return nnz + (n_acc - 1);
-}
-
 }  // namespace issr::kernels

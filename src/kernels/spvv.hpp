@@ -25,8 +25,4 @@ struct SpvvArgs {
 /// Build a complete single-core SpVV program (ends with ecall).
 isa::Program build_spvv(Variant variant, const SpvvArgs& args);
 
-/// Number of FP arithmetic instructions the ISSR variant issues for a
-/// given nnz (fmadds plus reduction fadds); used by utilization tests.
-std::uint64_t issr_spvv_fp_ops(std::uint32_t nnz, sparse::IndexWidth width);
-
 }  // namespace issr::kernels

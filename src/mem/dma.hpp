@@ -95,10 +95,6 @@ class Dma {
   /// (feeds the noc_contention stall bucket).
   bool noc_denied_this_cycle() const { return noc_denied_; }
 
-  std::size_t queued_jobs() const {
-    return in_.jobs.size() + out_.jobs.size();
-  }
-
   /// Number of transfers fully completed since construction; lets
   /// controllers detect completion of a specific queued job.
   std::uint64_t completed_jobs() const { return completed_; }

@@ -15,10 +15,7 @@
 // per poll, which dominated the simulator's wall-clock on streaming
 // kernels. Both timing models (IdealMemory, Tcdm) own flat vectors of
 // these endpoints and drive the memory-side API from their tick();
-// requesters see only the requester-side API, fully inlined. Code that
-// genuinely needs runtime polymorphism over ports (test scaffolding,
-// future backends) wraps the endpoint in MemPortAdapter below — the thin
-// virtual seam lives there, off the hot path.
+// requesters see only the requester-side API, fully inlined.
 #pragma once
 
 #include <cassert>
@@ -155,30 +152,6 @@ class MemPort final {
   RingQueue<Flight> inflight_;
   RingQueue<MemRsp> matured_;
   PortStats stats_;
-};
-
-/// Thin virtual seam over a MemPort for construction/test code that wants
-/// runtime polymorphism (e.g. scripting a port from a mock memory). Never
-/// used on the per-cycle simulation path.
-class MemPortIface {
- public:
-  virtual ~MemPortIface() = default;
-  virtual bool can_accept() const = 0;
-  virtual void push_request(const MemReq& req) = 0;
-  virtual bool pop_response(MemRsp& out) = 0;
-  virtual const PortStats& stats() const = 0;
-};
-
-class MemPortAdapter final : public MemPortIface {
- public:
-  explicit MemPortAdapter(MemPort& port) : port_(&port) {}
-  bool can_accept() const override { return port_->can_accept(); }
-  void push_request(const MemReq& req) override { port_->push_request(req); }
-  bool pop_response(MemRsp& out) override { return port_->pop_response(out); }
-  const PortStats& stats() const override { return port_->stats(); }
-
- private:
-  MemPort* port_;
 };
 
 }  // namespace issr::mem

@@ -72,8 +72,6 @@ DenseVector ref_scatter(const DenseVector& src,
   return out;
 }
 
-DenseVector ref_densify(const SparseFiber& a) { return a.densify(); }
-
 void ref_axpy_sparse_onto_dense(const SparseFiber& a, DenseVector& y) {
   assert(a.dim() <= y.size());
   for (std::uint32_t j = 0; j < a.nnz(); ++j) {

@@ -33,9 +33,6 @@ DenseVector ref_scatter(const DenseVector& src,
                         const std::vector<std::uint32_t>& idcs,
                         std::size_t dim);
 
-/// Densification of a sparse fiber by nonzero scattering (§III-C).
-DenseVector ref_densify(const SparseFiber& a);
-
 /// Sparse accumulate-onto-dense: y[a.idcs[j]] += a.vals[j] (§III-C).
 void ref_axpy_sparse_onto_dense(const SparseFiber& a, DenseVector& y);
 

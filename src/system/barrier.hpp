@@ -1,4 +1,4 @@
-// Inter-cluster barrier/reduction: the upper level of the hierarchical
+// Inter-cluster barrier: the upper level of the hierarchical
 // synchronization scheme (workers sync on their cluster's zero-latency HW
 // barrier, clusters sync on this one). Modeled as a *tree* of
 // fetch-and-increment counters in shared memory with configurable fan-in:
@@ -13,9 +13,7 @@
 // Timing is exact without simulating the tree nodes cycle-by-cycle: every
 // up-hop of a non-last arrival strictly precedes the last arrival's
 // (arrivals at inner nodes only wait for the *last* child), so the
-// critical path is always the last arrival's root round trip. The
-// optional reduction rides the same tree for free: arrive() can carry a
-// u64 operand, and the sum over the generation is readable once released.
+// critical path is always the last arrival's root round trip.
 //
 // Sense-reversing via generation counters, so it is reusable any number
 // of times. release_hint() exposes the already-determined release cycle
@@ -55,14 +53,12 @@ class SysBarrier {
   /// Observable release delay after the last arrival: the root round trip.
   cycle_t release_latency() const { return 2 * levels_ * hop_latency_; }
 
-  /// Register cluster `c`'s arrival at its current generation, optionally
-  /// carrying a reduction operand. Idempotent while the cluster is
-  /// waiting; must not be called again until released() has returned true
-  /// for `c`.
-  void arrive(unsigned c, cycle_t now, std::uint64_t operand = 0) {
+  /// Register cluster `c`'s arrival at its current generation.
+  /// Idempotent while the cluster is waiting; must not be called again
+  /// until released() has returned true for `c`.
+  void arrive(unsigned c, cycle_t now) {
     if (target_[c] != 0) return;  // already arrived, still waiting
     target_[c] = gen_ + 1;
-    accum_ += operand;
     if (++arrived_ == n_) {
       if (drop_next_release_) {
         // Injected fault (sim::InjectKind::kBarrierDrop): the release
@@ -75,8 +71,6 @@ class SysBarrier {
       arrived_ = 0;
       ++gen_;
       release_at_ = now + release_latency();
-      reduced_ = accum_;
-      accum_ = 0;
       trace_.instant(release_at_, "release", gen_);
     }
   }
@@ -103,9 +97,6 @@ class SysBarrier {
     return kCycleNever;
   }
 
-  /// Sum of the operands of the most recently completed generation.
-  std::uint64_t reduced() const { return reduced_; }
-
   std::uint64_t generation() const { return gen_; }
 
   /// Clusters currently parked in the open generation (fault diagnostics).
@@ -128,8 +119,6 @@ class SysBarrier {
   // previous release (each must observe it before re-arriving).
   cycle_t release_at_ = 0;
   bool drop_next_release_ = false;  ///< injected deadlock (fault testing)
-  std::uint64_t accum_ = 0;    ///< running reduction of the open generation
-  std::uint64_t reduced_ = 0;  ///< reduction of the last completed generation
   trace::Tracer trace_;
 };
 

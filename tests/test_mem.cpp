@@ -210,25 +210,6 @@ TEST(IdealMemory, PipelinedThroughputOnePerCycle) {
   // With latency 2 and full pipelining: 8 requests complete in ~10 cycles.
 }
 
-TEST(MemPortAdapter, VirtualSeamForwardsToConcretePort) {
-  // The hot path is devirtualized; code that needs runtime polymorphism
-  // over ports (mock memories, future backends) goes through the adapter.
-  IdealMemory mem(1, 1);
-  mem.store().store_u64(0x20, 123);
-  MemPortAdapter adapter(mem.port(0));
-  MemPortIface& iface = adapter;
-  ASSERT_TRUE(iface.can_accept());
-  iface.push_request({0x20, false, 8, 0, 3});
-  EXPECT_FALSE(iface.can_accept());
-  mem.tick(1);
-  MemRsp rsp;
-  ASSERT_TRUE(iface.pop_response(rsp));
-  EXPECT_EQ(rsp.rdata, 123u);
-  EXPECT_EQ(rsp.id, 3u);
-  EXPECT_FALSE(iface.pop_response(rsp));
-  EXPECT_EQ(iface.stats().reads, 1u);
-}
-
 TEST(IdealMemory, WritesCommitOnGrant) {
   IdealMemory mem(2, 1);
   mem.port(0).push_request({0x10, true, 8, 0xfeed, 0});

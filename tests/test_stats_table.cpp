@@ -2,58 +2,10 @@
 
 #include <cstdio>
 
-#include "common/stats.hpp"
 #include "common/table.hpp"
 
 namespace issr {
 namespace {
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyAndSingle) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  s.add(3.0);
-  EXPECT_EQ(s.mean(), 3.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);    // bin 0
-  h.add(1.99);   // bin 0
-  h.add(2.0);    // bin 1
-  h.add(9.99);   // bin 4
-  h.add(10.0);   // clamps to bin 4
-  h.add(-5.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 4
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.bin_count(0), 3u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 3u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  std::vector<double> v = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 25), 2.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 12.5), 1.5);
-}
 
 TEST(Table, CsvEscapesSpecialCharacters) {
   Table t;

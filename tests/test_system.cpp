@@ -125,19 +125,6 @@ TEST(SysBarrier, ArbitraryFanInArriveReleaseOrdering) {
   }
 }
 
-TEST(SysBarrier, ReductionSumsOperandsPerGeneration) {
-  SysBarrier b(3, 2);
-  b.arrive(0, 0, 10);
-  b.arrive(1, 0, 20);
-  b.arrive(2, 1, 12);
-  EXPECT_EQ(b.reduced(), 42u);
-  for (unsigned c = 0; c < 3; ++c) EXPECT_TRUE(b.released(c, 100));
-  b.arrive(0, 200, 1);
-  b.arrive(1, 200, 2);
-  b.arrive(2, 200, 3);
-  EXPECT_EQ(b.reduced(), 6u);  // fresh accumulation, not 48
-}
-
 TEST(SysBarrier, ReleaseHintExposesOnlyCompletedGenerations) {
   SysBarrier b(2, 4);
   EXPECT_EQ(b.release_hint(0), kCycleNever);  // not arrived
