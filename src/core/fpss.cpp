@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <utility>
 
 #include "core/compile.hpp"
 
@@ -28,15 +27,14 @@ Inst apply_stagger(const Inst& inst, unsigned offset, unsigned mask) {
 
 FpssMicroOp lower_fpss_op(const Inst& inst) {
   using isa::Issue;
+  using isa::RegFile;
   const isa::OpInfo& r = isa::op_info(inst.op);
   FpssMicroOp m;
   m.inst = inst;
   // FP source registers, in operand order.
-  const std::pair<isa::RegFile, std::uint8_t> srcs[] = {
-      {r.rs1, inst.rs1}, {r.rs2, inst.rs2}, {r.rs3, inst.rs3}};
-  for (const auto& [file, idx] : srcs) {
-    if (file == isa::RegFile::kF) m.srcs[m.n_src++] = idx;
-  }
+  if (r.rs1 == RegFile::kF) m.srcs[m.n_src++] = inst.rs1;
+  if (r.rs2 == RegFile::kF) m.srcs[m.n_src++] = inst.rs2;
+  if (r.rs3 == RegFile::kF) m.srcs[m.n_src++] = inst.rs3;
   switch (r.issue) {
     case Issue::kFpLoad: m.kind = FpssKind::kLoad; break;
     case Issue::kFpStore: m.kind = FpssKind::kStore; break;
@@ -44,7 +42,7 @@ FpssMicroOp lower_fpss_op(const Inst& inst) {
     case Issue::kFpToInt: m.kind = FpssKind::kToInt; break;
     default: break;
   }
-  if (r.rd == isa::RegFile::kF) m.mflags |= kMWritesFp;
+  if (r.rd == RegFile::kF) m.mflags |= kMWritesFp;
   if (isa::op_is_fp_compute(inst.op)) m.mflags |= kMFpCompute;
   if (r.issue == Issue::kFpFma) m.mflags |= kMFmadd;
   if (r.issue == Issue::kFpMul) m.mflags |= kMFmul;

@@ -116,8 +116,9 @@ enum class Issue : std::uint8_t {
   kFrep,
 };
 
-/// Fixed bits of an encoding: `bits` is what encode ORs into the operand
-/// fields; decode accepts a word iff it matches `bits` under `mask`.
+/// Fixed bits of an encoding: `bits` is what encode ORs in with the
+/// operand fields; decode accepts a word iff it matches `bits` under
+/// `mask`.
 /// Fields outside the mask (the rounding mode of FP arithmetic, fsqrt's
 /// rs2, fence's operands, ecall/ebreak's rd and rs1) are written
 /// canonically and ignored on decode.
@@ -126,7 +127,8 @@ struct FixedBits {
   std::uint32_t mask;
 };
 
-/// Everything the simulator knows about one opcode.
+/// One opcode's encoding, operands and classes. Its semantics live with
+/// the units that execute it (core/compile.cpp, core/fpu.cpp).
 struct OpInfo {
   Op op;
   const char* name;
