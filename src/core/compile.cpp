@@ -13,12 +13,13 @@
 namespace issr::core {
 
 using isa::Inst;
+using isa::Issue;
 using isa::Op;
+using isa::RegFile;
 
 namespace {
 
-ExecClass exec_class(isa::Issue k) {
-  using isa::Issue;
+ExecClass exec_class(Issue k) {
   switch (k) {
     case Issue::kInvalid: return ExecClass::kInvalid;
     case Issue::kAlu: case Issue::kMul: case Issue::kDiv:
@@ -45,20 +46,17 @@ LoadExt load_ext(const isa::OpInfo& r) {
 }
 
 DecodedInst decode_one(const Inst& inst) {
-  using isa::Issue;
-  using isa::RegFile;
   const isa::OpInfo& r = isa::op_info(inst.op);
   DecodedInst d;
   d.inst = inst;
   d.cls = exec_class(r.issue);
 
   if (d.cls == ExecClass::kFpss) {
-    // The integer operand an offload captures: rs1 (fld/fsd add imm).
+    // The integer operand an offload captures: rs1, plus imm for a
+    // memory access (fld/fsd).
     if (r.rs1 == RegFile::kX) d.flags |= kDFpssRs1;
-    if (r.issue == Issue::kFpLoad || r.issue == Issue::kFpStore) {
-      d.flags |= kDFpssAddr;
-    }
-    if (r.issue == Issue::kFpToInt) d.flags |= kDFpToInt;
+    if (r.mem_bytes != 0) d.flags |= kDFpssAddr;
+    if (isa::op_fp_to_int(inst.op)) d.flags |= kDFpToInt;
     return d;
   }
 

@@ -42,7 +42,7 @@ FpssMicroOp lower_fpss_op(const Inst& inst) {
     case Issue::kFpToInt: m.kind = FpssKind::kToInt; break;
     default: break;
   }
-  if (r.rd == RegFile::kF) m.mflags |= kMWritesFp;
+  if (isa::op_writes_fp_rd(inst.op)) m.mflags |= kMWritesFp;
   if (isa::op_is_fp_compute(inst.op)) m.mflags |= kMFpCompute;
   if (r.issue == Issue::kFpFma) m.mflags |= kMFmadd;
   if (r.issue == Issue::kFpMul) m.mflags |= kMFmul;

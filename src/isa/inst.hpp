@@ -320,10 +320,6 @@ constexpr bool op_is_fpss(Op op) {
 constexpr bool op_fp_to_int(Op op) {
   return op_info(op).issue == Issue::kFpToInt;
 }
-/// FP ops consuming an integer operand (fcvt.d.w, fmv.d.x).
-constexpr bool op_int_to_fp(Op op) {
-  return op_info(op).issue == Issue::kFpFromInt;
-}
 /// True iff the op writes an FP destination register.
 constexpr bool op_writes_fp_rd(Op op) {
   return op_info(op).rd == RegFile::kF;
