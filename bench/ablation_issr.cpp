@@ -6,13 +6,19 @@
 //  3. accumulator/stagger depth under FREP (RAW distance vs reduction
 //     length);
 //  4. taken-branch penalty sensitivity of the scalar BASE kernel.
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "bench_common.hpp"
 #include "cluster/csrmv_mc.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/sim.hpp"
 #include "isa/assembler.hpp"
+#include "kernels/spvv.hpp"
 #include "model/area.hpp"
+#include "sparse/generate.hpp"
 
 using namespace issr;
 
@@ -64,10 +70,9 @@ core::CcSimResult run_spvv_cfg(const core::CcSimConfig& cfg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_args(argc, argv, "ISSR design ablations");
+int main() {
   std::printf("ISSR design ablations\n\n");
-  const std::uint32_t nnz = bench::full_run() ? 4096 : 2048;
+  const std::uint32_t nnz = 2048;
 
   // 1. Port topology.
   {

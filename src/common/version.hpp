@@ -1,7 +1,7 @@
 // Engine build provenance, stamped into every results JSON header and
-// every bench artifact so a committed number can always be traced to the
-// code and build that produced it (and so ROADMAP item 5's result cache
-// can key on engine identity).
+// perfbench's machine record so a committed number can always be traced
+// to the code and build that produced it (and so a result cache could
+// key on engine identity).
 //
 // Everything here is a *static build fact*: the source revision, the
 // CMake build type and whether LTO was on. Runtime state is deliberately

@@ -1,8 +1,10 @@
 #include "core/fpu.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace issr::core {
 
@@ -87,12 +89,17 @@ std::uint64_t fpu_compute_to_int(Op op, double a, double b) {
     case Op::kFeqD: return a == b ? 1 : 0;
     case Op::kFltD: return a < b ? 1 : 0;
     case Op::kFleD: return a <= b ? 1 : 0;
+    // Both conversions truncate and saturate as RISC-V specifies: values
+    // outside the range clamp to its ends, and NaN gives the largest.
     case Op::kFcvtWD: {
-      const auto v = static_cast<std::int32_t>(a);
+      const double t = std::isnan(a) ? 0x1p31 : std::trunc(a);
+      const auto v =
+          static_cast<std::int32_t>(std::clamp(t, -0x1p31, 0x1p31 - 1));
       return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
     }
     case Op::kFcvtWuD: {
-      const auto v = static_cast<std::uint32_t>(a);
+      const double t = std::isnan(a) ? 0x1p32 : std::trunc(a);
+      const auto v = static_cast<std::uint32_t>(std::clamp(t, 0.0, 0x1p32 - 1));
       // RV64: fcvt.wu.d sign-extends the 32-bit result.
       return static_cast<std::uint64_t>(
           static_cast<std::int64_t>(static_cast<std::int32_t>(v)));

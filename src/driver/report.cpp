@@ -277,20 +277,6 @@ Table results_table(const std::vector<ScenarioResult>& results) {
   return t;
 }
 
-double paper_util_reference(kernels::Variant v, sparse::IndexWidth w) {
-  // The paper's Fig. 4a single-cluster SpVV FPU-utilization anchors —
-  // the same constants bench/fig4a_spvv_util.cpp validates against.
-  switch (v) {
-    case kernels::Variant::kBase:
-      return 0.11;
-    case kernels::Variant::kSsr:
-      return 0.14;
-    case kernels::Variant::kIssr:
-      return w == sparse::IndexWidth::kU16 ? 0.80 : 0.67;
-  }
-  return 0.0;
-}
-
 Table perf_report_table(const std::vector<ScenarioResult>& results) {
   Table t("perf report (bottleneck diagnosis per scenario)");
   t.set_header({"scenario", "FPU util", "paper ref", "vs ref", "bottleneck",

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "driver/paper.hpp"
 #include "driver/runner.hpp"
 
 namespace issr::driver {
@@ -50,12 +51,6 @@ Table results_table(const std::vector<ScenarioResult>& results);
 /// Build the stall-attribution table (--stall-report): one row per
 /// scenario, one column per bucket, as fractions of core_cycles.
 Table stall_table(const std::vector<ScenarioResult>& results);
-
-/// The paper's Fig. 4a FPU-utilization anchor for a kernel variant
-/// (BASE 0.11, SSR 0.14, ISSR 0.80/0.67 at 16/32-bit indices) — the
-/// reference column of the perf report and the ceilings the fig4a bench
-/// validates against.
-double paper_util_reference(kernels::Variant v, sparse::IndexWidth w);
 
 /// Build the bottleneck table (--perf-report): per scenario, the FPU
 /// utilization from the metrics registry next to the paper's reference

@@ -196,7 +196,7 @@ Inst csr_inst(Op op, unsigned rd, unsigned rs1_or_zimm, std::uint16_t csr,
   i.rd = static_cast<std::uint8_t>(rd);
   i.csr = csr;
   if (imm_form) {
-    i.imm = static_cast<std::int32_t>(rs1_or_zimm & 0x1f);
+    i.imm = static_cast<std::int32_t>(rs1_or_zimm);
   } else {
     i.rs1 = static_cast<std::uint8_t>(rs1_or_zimm);
   }

@@ -10,7 +10,18 @@
 namespace issr::isa {
 namespace {
 
-// Immediate field packers; each asserts its range.
+// Field packers; each asserts its range, so a value too wide for its
+// field cannot spill into a neighbouring one.
+
+std::uint32_t csr_addr(std::uint16_t csr) {
+  assert(csr < 0x1000 && "CSR address out of range");
+  return static_cast<std::uint32_t>(csr) << 20;
+}
+
+std::uint32_t zimm(std::int32_t imm) {
+  assert(imm >= 0 && imm < 32 && "CSR zimm out of range");
+  return static_cast<std::uint32_t>(imm) << 15;
+}
 
 std::uint32_t i_imm(std::int32_t imm) {
   assert(fits_signed(imm, 12));
@@ -109,6 +120,9 @@ std::span<const Op> rows_of_opcode(std::uint32_t opcode) {
 
 insn_word_t encode(const Inst& i) {
   assert(i.op != Op::kInvalid && "cannot encode invalid instruction");
+  // Fields an opcode does not use are zero, so all four must fit.
+  assert(i.rd < 32 && i.rs1 < 32 && i.rs2 < 32 && i.rs3 < 32 &&
+         "register field out of range");
   const OpInfo& r = op_info(i.op);
   std::uint32_t w = r.fixed.bits;
   if (r.rd != RegFile::kNone) w |= static_cast<std::uint32_t>(i.rd) << 7;
@@ -123,11 +137,8 @@ insn_word_t encode(const Inst& i) {
     case Format::kB: w |= b_imm(i.imm); break;
     case Format::kU: w |= u_imm(i.imm); break;
     case Format::kJ: w |= j_imm(i.imm); break;
-    case Format::kCsr: w |= static_cast<std::uint32_t>(i.csr) << 20; break;
-    case Format::kCsrImm:
-      w |= (static_cast<std::uint32_t>(i.csr) << 20) |
-           (static_cast<std::uint32_t>(i.imm & 0x1f) << 15);
-      break;
+    case Format::kCsr: w |= csr_addr(i.csr); break;
+    case Format::kCsrImm: w |= csr_addr(i.csr) | zimm(i.imm); break;
     case Format::kFrep: w |= encode_frep(i); break;
   }
   return w;

@@ -7,7 +7,9 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -64,6 +66,27 @@ TEST(Fpu, IntConversions) {
   EXPECT_EQ(fpu_compute_to_int(Op::kFltD, 2, 2), 0u);
   EXPECT_EQ(fpu_compute_to_int(Op::kFleD, 2, 2), 1u);
   EXPECT_EQ(fpu_compute_to_int(Op::kFcvtWD, -3.7, 0), static_cast<std::uint64_t>(-3));
+  // Out-of-range inputs and NaN saturate as RISC-V specifies; the 32-bit
+  // result is sign-extended.
+  const auto w = [](double a) { return fpu_compute_to_int(Op::kFcvtWD, a, 0); };
+  const auto wu = [](double a) {
+    return fpu_compute_to_int(Op::kFcvtWuD, a, 0);
+  };
+  const auto sext = [](std::int32_t v) {
+    return static_cast<std::uint64_t>(v);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(w(3e9), sext(INT32_MAX));
+  EXPECT_EQ(w(nan), sext(INT32_MAX));
+  EXPECT_EQ(w(-3e9), sext(INT32_MIN));
+  EXPECT_EQ(w(2147483647.9), sext(INT32_MAX));
+  EXPECT_EQ(w(-2147483648.9), sext(INT32_MIN));
+  EXPECT_EQ(wu(-1.5), 0u);
+  EXPECT_EQ(wu(-0.5), 0u);
+  EXPECT_EQ(wu(7.9), 7u);
+  EXPECT_EQ(wu(3e9), sext(static_cast<std::int32_t>(3'000'000'000u)));
+  EXPECT_EQ(wu(5e9), sext(-1));
+  EXPECT_EQ(wu(nan), sext(-1));
   EXPECT_EQ(fpu_compute_from_int(Op::kFcvtDW, static_cast<std::uint64_t>(-5)),
             -5.0);
   const double pi = 3.14159;

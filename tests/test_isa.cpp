@@ -1,8 +1,8 @@
 // ISA tests: golden encodings against the RISC-V spec, encode/decode
 // round-trip properties over randomized instructions and against an
 // independent field packer, fingerprint pins of decode, disassembly,
-// encode and the core's translation, assembler label resolution and li
-// expansion.
+// encode and the core's translation, encode's field range checks,
+// assembler label resolution and li expansion.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -121,6 +121,35 @@ TEST(Encoding, CsrImmediateForms) {
   const auto back = decode(encode(i));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, i);
+}
+
+// encode checks every field it packs, as it does the immediates: a value
+// too wide for its field would spill into the next one and encode another
+// instruction (add with rd = 33 would read back as `sll ra, ra, sp`).
+TEST(EncodingDeathTest, RejectsOutOfRangeFields) {
+  EXPECT_DEATH(encode(mk(Op::kAdd, 33, 1, 2)), "register field out of range");
+  EXPECT_DEATH(encode(mk(Op::kAdd, 1, 32, 2)), "register field out of range");
+  EXPECT_DEATH(encode(mk(Op::kAdd, 1, 1, 40)), "register field out of range");
+  Inst fma = mk(Op::kFmaddD, 1, 2, 3);
+  fma.rs3 = 32;
+  EXPECT_DEATH(encode(fma), "register field out of range");
+
+  Inst csr = mk(Op::kCsrrw, 5, 6);
+  csr.csr = 0x1c01;  // would alias the cycle CSR 0xc01
+  EXPECT_DEATH(encode(csr), "CSR address out of range");
+  Assembler as;
+  as.csrrw(kT0, 0x1c01, kT1);
+  EXPECT_DEATH(as.assemble(), "CSR address out of range");
+
+  Inst zimm = mk(Op::kCsrrsi, 3);
+  zimm.csr = 0x7c0;
+  zimm.imm = 32;
+  EXPECT_DEATH(encode(zimm), "CSR zimm out of range");
+  zimm.imm = -1;
+  EXPECT_DEATH(encode(zimm), "CSR zimm out of range");
+  Assembler as_zimm;
+  as_zimm.csrrsi(kZero, 0x7c0, 32);  // would have been masked to 0
+  EXPECT_DEATH(as_zimm.assemble(), "CSR zimm out of range");
 }
 
 // Every opcode, in enum order (all of Op but kInvalid).

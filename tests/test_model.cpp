@@ -1,4 +1,5 @@
-// Area/timing/energy model tests against the paper's §IV anchors.
+// Area/timing/energy model tests: monotonicity, the comparison constants
+// and the energy model's shape.
 #include <gtest/gtest.h>
 
 #include "cluster/csrmv_mc.hpp"
@@ -11,24 +12,16 @@
 namespace issr::model {
 namespace {
 
-TEST(AreaModel, IssrDeltaMatchesPaper) {
-  const auto area = streamer_area();
-  // Paper: ISSR is 4.4 kGE or 43% larger than the equivalent SSR.
-  EXPECT_NEAR(area.issr_minus_ssr(), 4.4, 0.5);
-  EXPECT_NEAR(area.issr_overhead_frac(), 0.43, 0.05);
+// The §IV-C anchors (ISSR minus SSR area, the cluster overhead and both
+// critical paths) are rows of driver::paper_table(), which the
+// paper_fidelity test checks.
+
+TEST(AreaModel, ClusterAreaIsPlausible) {
+  EXPECT_GT(cluster_area().cluster_kge, 4000.0);
 }
 
-TEST(AreaModel, ClusterOverheadUnderOnePercent) {
-  const auto cluster = cluster_area();
-  EXPECT_NEAR(cluster.issr_overhead_frac, 0.008, 0.002);
-  EXPECT_GT(cluster.cluster_kge, 4000.0);
-}
-
-TEST(AreaModel, TimingMatchesPaperAndMeetsClock) {
-  const auto t = streamer_timing();
-  EXPECT_NEAR(t.ssr_path_ps, 301.0, 1.0);
-  EXPECT_NEAR(t.issr_path_ps, 425.0, 1.0);
-  EXPECT_TRUE(t.meets_timing());
+TEST(AreaModel, TimingMeetsClock) {
+  EXPECT_TRUE(streamer_timing().meets_timing());
 }
 
 TEST(AreaModel, AreaGrowsMonotonicallyWithWidthAndDepth) {
