@@ -1,15 +1,20 @@
 // Experiment-driver tests: scenario-matrix expansion, deterministic seed
-// derivation, JSON/CSV emission, and serial-vs-parallel sweep equality.
+// derivation, JSON/CSV emission, serial-vs-parallel sweep equality, and
+// the golden pins of the paper shapes and of one eight-worker cluster.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
 #include "driver/runs.hpp"
 #include "driver/scenario.hpp"
 #include "driver/sweep.hpp"
+#include "sim/fault.hpp"
 #include "sparse/generate.hpp"
 
 namespace issr::driver {
@@ -519,6 +524,174 @@ TEST(PaperShapeGolden, Fig4cClusterCsrmv) {
                               sparse::IndexWidth::kU16, 8, a, x);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.mc.cluster.cycles * 8, 62968u);  // core-cycles
+}
+
+// --- Single-cluster golden table ---------------------------------------------
+
+/// What one 8-worker single-cluster CsrMV run leaves observable.
+struct OneClusterRun {
+  cluster::ClusterResult cluster;
+  sparse::DenseVector y;
+  sim::Fault fault;
+  bool ok = false;
+};
+
+OneClusterRun run_one_cluster(kernels::Variant v, const sparse::CsrMatrix& a,
+                              const sparse::DenseVector& x,
+                              const RunAids& aids = {}) {
+  auto r = run_csrmv_mc(v, sparse::IndexWidth::kU16, 8, a, x, nullptr, true,
+                        aids);
+  return {r.mc.cluster, r.mc.y, r.mc.cluster.fault, r.ok};
+}
+
+/// 256 x 512 at `rn` nonzeros per row, and its dense vector.
+std::pair<sparse::CsrMatrix, sparse::DenseVector> golden_input(
+    std::uint32_t rn) {
+  Rng rng(3200 + rn);
+  auto a = sparse::random_fixed_row_nnz_matrix(rng, 256, 512, rn);
+  auto x = sparse::random_dense_vector(rng, 512);
+  return {std::move(a), std::move(x)};
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Cycles, TCDM grants/conflicts, DMA busy cycles, main-memory bytes
+/// read/written, an FNV-1a hash of y and every worker's stall buckets.
+std::string cluster_record(const OneClusterRun& r) {
+  const auto& c = r.cluster;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(r.y.data());
+  for (std::size_t i = 0; i < r.y.size() * sizeof(double); ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ull;
+  }
+  std::string s = "cycles=" + std::to_string(c.cycles) +
+                  " tcdm=" + std::to_string(c.tcdm.grants) + "/" +
+                  std::to_string(c.tcdm.conflicts) +
+                  " dma_busy=" + std::to_string(c.dma.busy_cycles) +
+                  " mm=" + std::to_string(c.main_mem_read) + "/" +
+                  std::to_string(c.main_mem_written) + " y=" + hex64(h) +
+                  " stalls=";
+  for (const auto& w : c.stalls) {
+    for (const std::uint64_t n : w.counts) s += std::to_string(n) + ",";
+    s += ";";
+  }
+  return s;
+}
+
+/// The fault_detail payload: code, message, cycle, horizon, barrier
+/// string, every hart and the stall snapshot.
+std::string fault_text(const sim::Fault& f) {
+  std::string s = std::string(sim::to_string(f.code)) + ": " + f.message +
+                  " cycle=" + std::to_string(f.cycle) +
+                  " next=" + std::to_string(f.last_next_event) + " [" +
+                  f.barrier + "] harts=";
+  for (const auto& h : f.harts) {
+    s += std::to_string(h.cluster) + "." + std::to_string(h.hart) + "@" +
+         hex64(h.pc) + (h.halted ? "h," : ",");
+  }
+  s += " stalls=";
+  for (const std::uint64_t n : f.stalls.counts) s += std::to_string(n) + ",";
+  return s;
+}
+
+TEST(ClusterGolden, OneClusterMatchesPinnedTable) {
+  // BASE and ISSR-u16 on 8 workers at 256 x 512, per nnz/row.
+  const struct {
+    kernels::Variant variant;
+    std::uint32_t rn;
+    const char* record;
+  } rows[] = {
+      {kernels::Variant::kBase, 1,
+       "cycles=866 tcdm=1402/1023 dma_busy=153 mm=7684/2048 "
+       "y=4833095c090ffaae stalls=32,769,0,0,0,31,0,34,0,;"
+       "32,769,0,0,0,32,0,33,0,;32,761,0,0,0,35,0,38,0,;"
+       "32,761,0,0,0,28,0,45,0,;32,761,0,0,0,36,0,37,0,;"
+       "32,761,0,0,0,30,0,43,0,;32,761,0,0,0,37,0,36,0,;"
+       "32,763,0,0,0,36,0,35,0,;"},
+      {kernels::Variant::kBase, 8,
+       "cycles=3226 tcdm=6988/3609 dma_busy=433 mm=25604/2048 "
+       "y=4b9c7c4f53fdc54c stalls=256,2769,0,0,0,166,0,35,0,;"
+       "256,2769,0,0,0,161,0,40,0,;256,2769,0,0,0,167,0,34,0,;"
+       "256,2769,0,0,0,168,0,33,0,;256,2761,0,0,0,172,0,37,0,;"
+       "256,2761,0,0,0,158,0,51,0,;256,2761,0,0,0,173,0,36,0,;"
+       "256,2761,0,0,0,167,0,42,0,;"},
+      {kernels::Variant::kBase, 32,
+       "cycles=11238 tcdm=26140/11770 dma_busy=1393 mm=87044/2048 "
+       "y=362fc89c4ed43092 stalls=1024,9633,0,0,0,538,0,43,0,;"
+       "1024,9633,0,0,0,539,0,42,0,;1024,9633,0,0,0,548,0,33,0,;"
+       "1024,9633,0,0,0,540,0,41,0,;1024,9625,0,0,0,534,0,55,0,;"
+       "1024,9625,0,0,0,524,0,65,0,;1024,9625,0,0,0,535,0,54,0,;"
+       "1024,9625,0,0,0,545,0,44,0,;"},
+      {kernels::Variant::kBase, 128,
+       "cycles=43058 tcdm=100211/19948 dma_busy=5238 mm=332816/2048 "
+       "y=f1272dbae12aa299 stalls=4480,37663,0,0,0,909,0,6,0,;"
+       "4096,34555,0,0,0,870,0,3537,0,;3968,33519,0,0,0,857,0,4714,0,;"
+       "4096,34547,0,0,0,870,0,3545,0,;4096,34547,0,0,0,845,0,3570,0,;"
+       "3968,33511,0,0,0,877,0,4702,0,;4096,34547,0,0,0,873,0,3542,0,;"
+       "3968,33511,0,0,0,788,0,4791,0,;"},
+      {kernels::Variant::kIssr, 1,
+       "cycles=593 tcdm=1210/870 dma_busy=153 mm=7684/2048 "
+       "y=4833095c090ffaae stalls=32,501,0,0,0,26,0,34,0,;"
+       "32,501,0,0,0,29,0,31,0,;32,493,0,0,0,25,0,43,0,;"
+       "32,493,0,0,0,26,0,42,0,;32,493,0,0,0,27,0,41,0,;"
+       "32,493,0,0,0,28,0,40,0,;32,493,0,0,0,33,0,35,0,;"
+       "32,493,0,0,0,30,0,38,0,;"},
+      {kernels::Variant::kIssr, 8,
+       "cycles=1365 tcdm=5452/4344 dma_busy=433 mm=25604/2048 "
+       "y=bdb5cf9bc3c1d16c stalls=352,871,0,0,0,97,0,45,0,;"
+       "352,872,0,0,0,102,0,39,0,;352,871,0,0,0,104,0,38,0,;"
+       "352,872,0,0,0,104,0,37,0,;352,864,0,0,0,100,0,49,0,;"
+       "352,865,0,0,0,107,0,41,0,;352,864,0,0,0,102,0,47,0,;"
+       "352,863,0,0,0,110,0,40,0,;"},
+      {kernels::Variant::kIssr, 32,
+       "cycles=3246 tcdm=19996/12752 dma_busy=1393 mm=87044/2048 "
+       "y=41df21aa7142e513 stalls=1120,1343,0,0,0,394,138,107,144,;"
+       "1120,1361,0,0,0,422,159,54,130,;1120,1379,0,0,0,428,155,39,125,;"
+       "1120,1369,0,0,0,421,146,57,133,;1120,1370,0,0,0,431,148,40,137,;"
+       "1120,1355,0,0,0,416,157,67,131,;1120,1357,0,0,0,426,150,56,137,;"
+       "1120,1377,0,0,0,411,142,52,144,;"},
+      {kernels::Variant::kIssr, 128,
+       "cycles=9677 tcdm=75635/37047 dma_busy=5238 mm=332816/2048 "
+       "y=08db038f85cad37f stalls=4585,1883,0,0,0,1526,1519,36,128,;"
+       "4192,1841,0,0,0,1528,1349,660,107,;"
+       "4061,1844,0,0,0,1538,1391,735,108,;"
+       "4192,1854,0,0,0,1496,1481,543,111,;"
+       "4192,1831,0,0,0,1500,1409,639,106,;"
+       "4061,1830,0,0,0,1530,1340,809,107,;"
+       "4192,1841,0,0,0,1525,1386,624,109,;"
+       "4061,1830,0,0,0,1541,1389,743,113,;"},
+  };
+  for (const auto& row : rows) {
+    const auto [a, x] = golden_input(row.rn);
+    const auto r = run_one_cluster(row.variant, a, x);
+    EXPECT_TRUE(r.ok);
+    EXPECT_FALSE(r.fault);
+    EXPECT_EQ(cluster_record(r), row.record)
+        << kernels::to_string(row.variant) << " " << row.rn << " nnz/row";
+  }
+}
+
+TEST(ClusterGolden, OneClusterDmaStallFaultDetail) {
+  const auto [a, x] = golden_input(8);
+  RunAids aids;
+  aids.max_cycles = 20'000;
+  aids.inject.stall_dma = true;
+  const auto r = run_one_cluster(kernels::Variant::kIssr, a, x, aids);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.cluster.cycles, 20'000u);
+  EXPECT_EQ(fault_text(r.fault),
+            "cycle_limit: cycle budget exhausted before the cluster was "
+            "done cycle=20000 next=20000 [hw_barrier: 0/8 arrived (0 at "
+            "CSR), gen 0; dma: busy, controller active] "
+            "harts=0.0@0000000040000020,0.1@0000000040000020,"
+            "0.2@0000000040000020,0.3@0000000040000020,"
+            "0.4@0000000040000020,0.5@0000000040000020,"
+            "0.6@0000000040000020,0.7@000000004000001c, stalls=0,159999,"
+            "0,0,0,1,0,0,0,");
 }
 
 // --- Composable run helpers (driver/runs.hpp) --------------------------------
