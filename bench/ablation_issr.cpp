@@ -6,23 +6,49 @@
 //  3. accumulator/stagger depth under FREP (RAW distance vs reduction
 //     length);
 //  4. taken-branch penalty sensitivity of the scalar BASE kernel.
+// Every run doubles as an integration check: a result that misses the
+// golden reference ends the program with exit status 1.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "cluster/csrmv_mc.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/sim.hpp"
+#include "driver/runs.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/spvv.hpp"
 #include "model/area.hpp"
 #include "sparse/generate.hpp"
+#include "sparse/reference.hpp"
 
 using namespace issr;
 
 namespace {
+
+void mismatch(const char* what) {
+  std::fprintf(stderr,
+               "ablation_issr: %s does not match the golden reference\n",
+               what);
+  std::exit(1);
+}
+
+/// Run `sim` with its loaded SpVV program and check the dot product it
+/// stored at `result` against sparse::ref_spvv(a, b).
+core::CcSimResult run_checked_spvv(core::CcSim& sim, addr_t result,
+                                   const sparse::SparseFiber& a,
+                                   const sparse::DenseVector& b) {
+  const core::CcSimResult r = sim.run();
+  const double got = sim.read_f64(result);
+  const double want = sparse::ref_spvv(a, b);
+  if (r.fault || std::abs(got - want) > 1e-9 + 1e-9 * std::abs(want)) {
+    mismatch("an SpVV result");
+  }
+  return r;
+}
 
 core::CcSimResult run_spvv_cfg(const core::CcSimConfig& cfg,
                                sparse::IndexWidth width, std::uint32_t nnz,
@@ -65,7 +91,7 @@ core::CcSimResult run_spvv_cfg(const core::CcSimConfig& cfg,
     kernels::emit_halt(as);
     sim.set_program(as.assemble());
   }
-  return sim.run();
+  return run_checked_spvv(sim, args.result, a, b);
 }
 
 }  // namespace
@@ -141,17 +167,17 @@ int main() {
     const auto x = sparse::random_dense_vector(rng, 512);
     cycle_t one_worker = 0;
     for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-      cluster::McCsrmvConfig cfg;
-      cfg.variant = kernels::Variant::kIssr;
-      cfg.width = sparse::IndexWidth::kU16;
-      cfg.cluster.num_workers = workers;
-      const auto r = cluster::run_csrmv_multicore(a, x, cfg);
-      if (workers == 1) one_worker = r.cluster.cycles;
-      t.add_row({fmt_u(workers), fmt_u(r.cluster.cycles),
+      const auto run = driver::run_csrmv_sys(
+          kernels::Variant::kIssr, sparse::IndexWidth::kU16, 1, workers, a,
+          x, nullptr, true, {}, driver::SysTuning{.fabric = false});
+      if (!run.ok) mismatch("a cluster CsrMV result");
+      const auto& r = run.sys.system;
+      if (workers == 1) one_worker = r.cycles;
+      t.add_row({fmt_u(workers), fmt_u(r.cycles),
                  fmt_speedup(static_cast<double>(one_worker) /
-                             static_cast<double>(r.cluster.cycles)),
-                 fmt_f(r.cluster.fpu_util()),
-                 fmt_f(r.cluster.tcdm.conflict_rate())});
+                             static_cast<double>(r.cycles)),
+                 fmt_f(r.fpu_util()),
+                 fmt_f(r.clusters[0].tcdm.conflict_rate())});
     }
     t.print();
   }
@@ -175,7 +201,7 @@ int main() {
       args.result = sim.alloc(8);
       args.width = sparse::IndexWidth::kU32;
       sim.set_program(kernels::build_spvv(kernels::Variant::kBase, args));
-      const auto r = sim.run();
+      const auto r = run_checked_spvv(sim, args.result, a, b);
       t.add_row({fmt_u(pen),
                  fmt_f(static_cast<double>(r.cycles) / nnz, 2),
                  fmt_f(r.fpu_util())});

@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/csrmv_mc.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/sim.hpp"
@@ -203,21 +202,28 @@ void fig4b(Measured& m) {
               util_mv, util_mm, 100.0 * (util_mm - util_mv) / util_mv);
 }
 
+/// One cluster's CsrMV: the System of one, with no fabric. cores = 0:
+/// the library's cluster default (the paper's 8 workers).
+system::SysCsrmvResult cluster_csrmv(Variant v, const sparse::CsrMatrix& a,
+                                     const sparse::DenseVector& x) {
+  return checked(driver::run_csrmv_sys(v, IndexWidth::kU16, 1, 0, a, x,
+                                       nullptr, true, {},
+                                       driver::SysTuning{.fabric = false}))
+      .sys;
+}
+
 /// Eight-worker cluster CsrMV of one matrix, BASE and ISSR16.
 struct ClusterPair {
-  cluster::McCsrmvResult base, issr;
+  system::SysCsrmvResult base, issr;
   double speedup() const {
-    return ratio(base.cluster.cycles, issr.cluster.cycles);
+    return ratio(base.system.cycles, issr.system.cycles);
   }
 };
 
 ClusterPair cluster_pair(const sparse::CsrMatrix& a,
                          const sparse::DenseVector& x) {
-  // cores = 0: the library's cluster default (the paper's 8 workers).
-  const auto run = [&](Variant v) {
-    return checked(driver::run_csrmv_mc(v, IndexWidth::kU16, 0, a, x)).mc;
-  };
-  return {run(Variant::kBase), run(Variant::kIssr)};
+  return {cluster_csrmv(Variant::kBase, a, x),
+          cluster_csrmv(Variant::kIssr, a, x)};
 }
 
 /// The Fig. 4c nnz/row sweep at `rows` rows: the speedup at 1 nnz/row
@@ -234,9 +240,9 @@ std::pair<double, double> fig4c_sweep(std::uint32_t rows, Table* t) {
     peak = std::max(peak, p.speedup());
     if (t == nullptr) continue;
     // util/conflict read the metrics registry, as `--perf-report` does.
-    const auto s = metrics::harvest_cluster(p.issr.cluster);
-    t->add_row({fmt_u(rn), fmt_u(p.base.cluster.cycles),
-                fmt_u(p.issr.cluster.cycles), fmt_speedup(p.speedup()),
+    const auto s = metrics::harvest_system(p.issr.system);
+    t->add_row({fmt_u(rn), fmt_u(p.base.system.cycles),
+                fmt_u(p.issr.system.cycles), fmt_speedup(p.speedup()),
                 fmt_f(s.value("util_fpu")),
                 fmt_f(s.value("tcdm_conflict_rate"))});
   }
@@ -274,11 +280,11 @@ void fig4c_4d(Measured& m) {
     const auto p = cluster_pair(a, x);
     ts.add_row({name, fmt_u(a.nnz()), fmt_f(a.avg_row_nnz(), 1),
                 fmt_speedup(p.speedup()),
-                fmt_f(metrics::harvest_cluster(p.issr.cluster)
+                fmt_f(metrics::harvest_system(p.issr.system)
                           .value("util_fpu")),
-                fmt_u(p.issr.plan.tiles.size())});
-    const auto eb = model::estimate_energy(p.base.cluster);
-    const auto ei = model::estimate_energy(p.issr.cluster);
+                fmt_u(p.issr.plans[0].tiles.size())});
+    const auto eb = model::estimate_energy(p.base.system.clusters[0]);
+    const auto ei = model::estimate_energy(p.issr.system.clusters[0]);
     const double gain = eb.pj_per_fmadd / ei.pj_per_fmadd;
     best_gain = std::max(best_gain, gain);
     te.add_row({name, fmt_f(a.avg_row_nnz(), 1), fmt_f(eb.energy_uj, 3),
@@ -369,9 +375,8 @@ void comparison(Measured& m) {
     Rng rng(4000 + rn);
     const auto a = sparse::random_fixed_row_nnz_matrix(rng, 256, 512, rn);
     const auto x = sparse::random_dense_vector(rng, 512);
-    const auto r = checked(driver::run_csrmv_mc(
-        Variant::kIssr, IndexWidth::kU16, 0, a, x));
-    best_util = std::max(best_util, r.mc.cluster.fpu_util());
+    best_util = std::max(
+        best_util, cluster_csrmv(Variant::kIssr, a, x).system.fpu_util());
   }
   {
     // Single-CC peak (no bank conflicts): the architectural ceiling.

@@ -5,13 +5,14 @@
 //   $ ./examples/spmv_suite                # run the built-in suite subset
 //   $ ./examples/spmv_suite path/to/m.mtx  # run a real SuiteSparse matrix
 #include <cstdio>
+#include <cstdlib>
 
-#include "cluster/csrmv_mc.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "driver/runs.hpp"
 #include "model/energy.hpp"
+#include "sparse/generate.hpp"
 #include "sparse/io.hpp"
-#include "sparse/reference.hpp"
 #include "sparse/suite.hpp"
 
 using namespace issr;
@@ -26,29 +27,29 @@ void run_matrix(Table& table, const std::string& name,
   }
   Rng rng(1);
   const auto x = sparse::random_dense_vector(rng, a.cols());
-  const auto y_ref = sparse::ref_csrmv(a, x);
 
-  cluster::McCsrmvConfig cfg;
-  cfg.width = sparse::IndexWidth::kU16;
-
-  cfg.variant = kernels::Variant::kBase;
-  const auto base = cluster::run_csrmv_multicore(a, x, cfg);
-  cfg.variant = kernels::Variant::kIssr;
-  const auto issr = cluster::run_csrmv_multicore(a, x, cfg);
-
-  if (!sparse::allclose(base.y, y_ref) || !sparse::allclose(issr.y, y_ref)) {
+  // One 8-worker cluster: the System of one, with no fabric.
+  const auto run = [&](kernels::Variant v) {
+    return driver::run_csrmv_sys(v, sparse::IndexWidth::kU16, 1, 0, a, x,
+                                 nullptr, true, {},
+                                 driver::SysTuning{.fabric = false});
+  };
+  const auto base = run(kernels::Variant::kBase);
+  const auto issr = run(kernels::Variant::kIssr);
+  if (!base.ok || !issr.ok) {
     std::printf("FAIL: %s cluster result mismatch\n", name.c_str());
     std::exit(1);
   }
 
-  const auto base_e = model::estimate_energy(base.cluster);
-  const auto issr_e = model::estimate_energy(issr.cluster);
-  table.add_row(
-      {name, fmt_u(a.nnz()), fmt_f(a.avg_row_nnz(), 1),
-       fmt_u(base.cluster.cycles), fmt_u(issr.cluster.cycles),
-       fmt_speedup(static_cast<double>(base.cluster.cycles) /
-                   static_cast<double>(issr.cluster.cycles)),
-       fmt_speedup(base_e.pj_per_fmadd / issr_e.pj_per_fmadd)});
+  const auto& bc = base.sys.system.clusters[0];
+  const auto& ic = issr.sys.system.clusters[0];
+  const auto base_e = model::estimate_energy(bc);
+  const auto issr_e = model::estimate_energy(ic);
+  table.add_row({name, fmt_u(a.nnz()), fmt_f(a.avg_row_nnz(), 1),
+                 fmt_u(bc.cycles), fmt_u(ic.cycles),
+                 fmt_speedup(static_cast<double>(bc.cycles) /
+                             static_cast<double>(ic.cycles)),
+                 fmt_speedup(base_e.pj_per_fmadd / issr_e.pj_per_fmadd)});
 }
 
 }  // namespace

@@ -10,28 +10,19 @@
 namespace issr::cluster {
 
 Cluster::Cluster(
-    const ClusterConfig& config,
+    const ClusterConfig& config, mem::MainMemory& main, Arena* arena,
     std::vector<std::shared_ptr<const isa::Program>> worker_programs,
-    CompiledCache* compiled_cache)
+    CompiledCache& compiled_cache)
     : config_(config),
       programs_(std::move(worker_programs)),
-      main_(config.shared_main != nullptr ? config.shared_main : &own_main_),
+      main_(&main),
       barrier_(config.num_workers) {
   assert(programs_.size() == config_.num_workers);
   // Two TCDM master ports per worker CC: shared (core+FPU+SSR) and ISSR.
   tcdm_ = std::make_unique<mem::Tcdm>(config_.tcdm, 2 * config_.num_workers);
-  if (config_.arena != nullptr) {
-    tcdm_->store().set_arena(config_.arena);
-    // A shared main memory's pages belong to its owner (the System wires
-    // the arena there before any cluster exists); only the private one
-    // is this cluster's to back.
-    if (config_.shared_main == nullptr) own_main_.store().set_arena(config_.arena);
-  }
+  if (arena != nullptr) tcdm_->store().set_arena(arena);
   dma_ = std::make_unique<mem::Dma>(*tcdm_, *main_);
 
-  CompiledCache own_cache;
-  CompiledCache& cache =
-      compiled_cache != nullptr ? *compiled_cache : own_cache;
   for (unsigned w = 0; w < config_.num_workers; ++w) {
     core::CcParams cc = config_.cc;
     cc.core.hartid = w;
@@ -41,7 +32,7 @@ Cluster::Cluster(
     // program object shares one. (The fused executor stays off here: it
     // needs the ideal two-port memory, and TCDM responses interleave with
     // other workers' traffic.)
-    auto& cp = cache[programs_[w].get()];
+    auto& cp = compiled_cache[programs_[w].get()];
     if (!cp) {
       cp = std::make_shared<const core::CompiledProgram>(*programs_[w]);
     }
@@ -118,7 +109,7 @@ ClusterResult Cluster::harvest(cycle_t now, bool aborted) {
   ClusterResult result;
   result.aborted = aborted;
   if (aborted) {
-    ISSR_ERROR("Cluster::run aborted at cycle %llu",
+    ISSR_ERROR("cluster run aborted at cycle %llu",
                static_cast<unsigned long long>(now));
     for (unsigned w = 0; w < num_workers(); ++w) {
       ISSR_ERROR("  worker %u: pc=0x%llx halted=%d", w,
@@ -150,22 +141,6 @@ ClusterResult Cluster::harvest(cycle_t now, bool aborted) {
   result.dma = dma_->stats();
   result.main_mem_read = main_->bytes_read();
   result.main_mem_written = main_->bytes_written();
-  return result;
-}
-
-ClusterResult Cluster::run(cycle_t max_cycles) {
-  struct Units {
-    Cluster& c;
-    void tick(cycle_t now) { c.tick(now); }
-    bool done(cycle_t now) const { return c.done(now); }
-    cycle_t next_event(cycle_t now) const { return c.next_event(now); }
-  };
-  const core::EngineRun er = core::run_engine(Units{*this}, max_cycles);
-  ClusterResult result =
-      harvest(er.cycles, er.stop != core::EngineStop::kDone);
-  if (er.stop != core::EngineStop::kDone) {
-    result.fault = classify_stop(er.stop, er.cycles, er.last_horizon);
-  }
   return result;
 }
 

@@ -1,9 +1,11 @@
 // The Snitch cluster (Fig. 3): eight worker core complexes on a 32-bank
-// 256 KiB TCDM, a duplex 512-bit DMA engine to an ideal main memory, and a
+// 256 KiB TCDM, a duplex 512-bit DMA engine to main memory, and a
 // data-movement core (DMCC) coordinating transfers. Worker instruction
 // fetch is ideal (shared L1 I$ modeled as always hitting). The DMCC runs
 // as a cycle-stepped C++ controller issuing the same DMA commands and TCDM
-// flag writes its software would (DESIGN.md §5, substitution 4).
+// flag writes its software would (DESIGN.md §5, substitution 4). A System
+// (system/system.hpp) builds, owns and runs every cluster, a single one
+// included, and lends it the main memory its DMA reaches.
 #pragma once
 
 #include <functional>
@@ -33,17 +35,6 @@ struct ClusterConfig {
   unsigned num_workers = 8;
   mem::TcdmConfig tcdm;
   core::CcParams cc;
-  /// When non-null, the TCDM and main-memory backing pages come from
-  /// this arena instead of the heap (observational only; see
-  /// common/arena.hpp). Must outlive the cluster, no reset while alive.
-  Arena* arena = nullptr;
-  /// When non-null, the cluster's DMA targets this externally-owned main
-  /// memory instead of a private one — how a multi-cluster System shares
-  /// one memory among all clusters (system/system.hpp). Must outlive the
-  /// cluster; the owner manages its arena and wires each cluster's DMA to
-  /// the Interconnect that enforces bandwidth in front of it. Null (the
-  /// default) keeps the private ideal memory.
-  mem::MainMemory* shared_main = nullptr;
 };
 
 /// Per-run cluster statistics.
@@ -115,13 +106,16 @@ class Cluster {
       std::unordered_map<const isa::Program*,
                          std::shared_ptr<const core::CompiledProgram>>;
 
-  /// `worker_programs` holds one program per worker. Workers handed the
-  /// same program object share it and one translation of it
-  /// (core/compile.hpp), looked up in (and added to) `compiled_cache` when
-  /// one is given.
-  Cluster(const ClusterConfig& config,
+  /// The cluster's DMA reaches `main`, which the owning System holds and
+  /// may wire behind an Interconnect; `arena`, when non-null, backs the
+  /// TCDM pages instead of the heap (observational only; see
+  /// common/arena.hpp). Both must outlive the cluster. `worker_programs`
+  /// holds one program per worker. Workers handed the same program object
+  /// share it and one translation of it (core/compile.hpp), looked up in
+  /// (and added to) `compiled_cache`.
+  Cluster(const ClusterConfig& config, mem::MainMemory& main, Arena* arena,
           std::vector<std::shared_ptr<const isa::Program>> worker_programs,
-          CompiledCache* compiled_cache = nullptr);
+          CompiledCache& compiled_cache);
 
   unsigned num_workers() const {
     return static_cast<unsigned>(workers_.size());
@@ -166,8 +160,8 @@ class Cluster {
   void attach_trace(trace::TraceSink& sink, const std::string& prefix = "");
 
   // --- Per-cycle interface ---------------------------------------------------
-  // run() drives these through the shared engine; a multi-cluster System
-  // drives every cluster's in one system cycle (system/system.hpp).
+  // System::run drives every cluster's through the shared engine, all of
+  // them in one system cycle (system/system.hpp).
 
   /// Advance one cycle. Order: DMA claims banks for this cycle, TCDM
   /// arbitrates (skipping claimed banks), then the controller and workers
@@ -186,20 +180,16 @@ class Cluster {
   /// Post-run collection: close worker stall timelines, drain pending
   /// TCDM-port stores and final DMA beats, and gather every statistic
   /// into a result (asserting each worker's stall buckets decompose
-  /// `now`). Shared by run() and System::run().
+  /// `now`).
   ClusterResult harvest(cycle_t now, bool aborted);
 
   /// Classify a stopped run into a Fault with the cluster's diagnostic
   /// snapshot (per-worker PCs, barrier occupancy, DMA state). `cluster_id`
   /// labels the HartStates when a System owns several clusters. Also
   /// emits one instant on the cluster's "watchdog" trace track when
-  /// tracing is attached. Shared by run() and System::run().
+  /// tracing is attached.
   sim::Fault classify_stop(core::EngineStop stop, cycle_t now,
-                           cycle_t last_horizon, std::uint32_t cluster_id = 0);
-
-  /// Run to completion. If `max_cycles` elapse first, the result comes
-  /// back with `aborted` set instead of looking like a normal finish.
-  ClusterResult run(cycle_t max_cycles = 2'000'000'000);
+                           cycle_t last_horizon, std::uint32_t cluster_id);
 
  private:
   ClusterConfig config_;
@@ -207,8 +197,7 @@ class Cluster {
   /// Per worker, the shared translation of its program object.
   std::vector<std::shared_ptr<const core::CompiledProgram>> compiled_;
   std::unique_ptr<mem::Tcdm> tcdm_;
-  mem::MainMemory own_main_;
-  mem::MainMemory* main_;  ///< &own_main_ or config.shared_main
+  mem::MainMemory* main_;  ///< the owning System's
   std::unique_ptr<mem::Dma> dma_;
   HwBarrier barrier_;
   std::vector<std::unique_ptr<core::CoreComplex>> workers_;

@@ -14,13 +14,6 @@ using kernels::Variant;
 
 namespace {
 
-addr_t tile_flag_addr(const McTilePlan& plan, unsigned buf) {
-  return plan.flags_addr + 8ull * buf;
-}
-addr_t done_flag_addr(const McTilePlan& plan, unsigned worker) {
-  return plan.flags_addr + 8ull * (2 + worker);
-}
-
 /// Queue a dense block of `rows` rows of `row_bytes`: one 2-D job, or —
 /// for a contiguous block — one 1-D job of the whole span.
 void start_dense(mem::Dma& dma, bool two_d, addr_t dst, addr_t src,
@@ -286,93 +279,6 @@ void dma_write_back(mem::Dma& dma, const McTilePlan& plan,
               plan.buf[buf].y_addr, 8ull * plan.phase_cols(phase),
               tile.row_end - tile.row_begin, 8ll * ops.y_ld,
               static_cast<std::int64_t>(8 * cb));
-}
-
-ShardController::ShardController(const McTilePlan& plan,
-                                 const TileOperands& ops,
-                                 unsigned num_workers)
-    : plan_(plan), ops_(ops), num_workers_(num_workers) {}
-
-void ShardController::start_phase(Cluster& cl) {
-  // The dense block rides the inbound channel ahead of the tile loads, so
-  // no tile flag can publish before it has landed (for CsrMV: the x
-  // transfer is not overlapped with compute).
-  dma_load_block(cl.dma(), plan_, ops_, phase_);
-  queued_in_ += 1;
-  next_tile_ = 0;
-  tiles_done_ = 0;
-  phase_done_ = false;
-  if (next_tile_ < plan_.tiles.size()) start_tile_load(cl, next_tile_++);
-  if (next_tile_ < plan_.tiles.size()) start_tile_load(cl, next_tile_++);
-}
-
-void ShardController::next_phase(Cluster& cl) {
-  assert(phase_done_ && phase_ + 1 < plan_.num_phases());
-  ++phase_;
-  start_phase(cl);
-}
-
-void ShardController::start_tile_load(Cluster& cl, std::size_t tile) {
-  const unsigned b = static_cast<unsigned>(gen(tile) % 2);
-  dma_load_tile(cl.dma(), plan_, ops_, b, plan_.tiles[tile]);
-  load_marker_[b] = queued_in_ += 3;
-  state_[b] = BufState::kLoading;
-  buf_tile_[b] = tile;
-}
-
-void ShardController::tick(Cluster& cl) {
-  if (phase_done_) return;
-  if (!started_) {
-    started_ = true;
-    cl.set_controller_done(false);
-    start_phase(cl);
-  }
-  auto& dma = cl.dma();
-  auto& store = cl.tcdm().store();
-
-  for (unsigned b = 0; b < 2; ++b) {
-    switch (state_[b]) {
-      case BufState::kLoading:
-        if (dma.completed_in() >= load_marker_[b]) {
-          // Publish the tile generation: workers poll for gen + 1.
-          store.store_u64(tile_flag_addr(plan_, b), gen(buf_tile_[b]) + 1);
-          state_[b] = BufState::kReady;
-        }
-        break;
-      case BufState::kReady: {
-        // All workers done with this tile?
-        const std::uint64_t done = gen(buf_tile_[b]) + 1;
-        bool all_done = true;
-        for (unsigned w = 0; w < num_workers_; ++w) {
-          if (store.load_u64(done_flag_addr(plan_, w)) < done) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done) {
-          dma_write_back(dma, plan_, ops_, b, plan_.tiles[buf_tile_[b]],
-                         phase_);
-          wb_marker_[b] = ++queued_out_;
-          state_[b] = BufState::kWritingBack;
-        }
-        break;
-      }
-      case BufState::kWritingBack:
-        if (dma.completed_out() >= wb_marker_[b]) {
-          // Generations alternate buffers, so the next tile lands in b.
-          ++tiles_done_;
-          state_[b] = BufState::kIdle;
-          if (next_tile_ < plan_.tiles.size()) {
-            start_tile_load(cl, next_tile_++);
-          }
-        }
-        break;
-      case BufState::kIdle:
-        break;
-    }
-  }
-
-  if (tiles_done_ == plan_.tiles.size()) phase_done_ = true;
 }
 
 }  // namespace issr::cluster

@@ -1,32 +1,92 @@
 // The tile machinery of the paper's double-buffered scheme (§IV-B), shared
 // by every kernel that streams A through a cluster's TCDM in row tiles:
 // main-memory operand staging, the tile planner, the worker row shares,
-// the per-tile CsrMV body, the static worker program, the DMA jobs, and
-// the static DMCC controller. CsrMM (system/csrmm_sys.hpp) is the same
+// the per-tile CsrMV body, the static worker program and the DMA jobs.
+// The DMCC controllers that drive them (static and stealing) live with the
+// System (system/csrmv_sys.cpp, system/steal.hpp), which runs every
+// cluster, a single one included. CsrMM (system/csrmm_sys.hpp) is the same
 // machinery with column phases: each phase loads a block of B's columns
 // and runs one CsrMV body per block column (§III-B). CsrMV is the
 // one-phase, one-column instance, so both kernels share one code path.
 //
 // Everything here operates on an absolute row range [row_begin, row_end)
-// of the matrix — the single-cluster kernel (csrmv_mc.hpp) passes the
-// whole matrix, the System's static path one cost-balanced shard per
-// cluster, its stealing path (system/steal.hpp) one global plan — so a
-// one-cluster run executes the same code either way. The kernels differ
-// only in data: the shapes of the dense operand and result (TileOperands),
-// the row-share rule, and the column count.
+// of the matrix — a single cluster takes the whole matrix, the System's
+// static path one cost-balanced shard per cluster, its stealing path
+// (system/steal.hpp) one global plan. The kernels differ only in data:
+// the shapes of the dense operand and result (TileOperands), the
+// row-share rule, and the column count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/csrmv_mc.hpp"
 #include "isa/assembler.hpp"
+#include "kernels/csrmv.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 
 namespace issr::cluster {
+
+/// A tile kernel's planning view and run knobs.
+struct McCsrmvConfig {
+  kernels::Variant variant = kernels::Variant::kIssr;
+  sparse::IndexWidth width = sparse::IndexWidth::kU16;
+  ClusterConfig cluster;
+  /// Upper bound on rows per tile (bounds the ptr/y buffer regions).
+  std::uint32_t max_tile_rows = 2048;
+  /// Cycle budget for the run; 0 selects System::run's default. A run
+  /// that exhausts it comes back with a kCycleLimit Fault.
+  cycle_t max_cycles = 0;
+  /// Deterministic fault-injection switches (sim/fault.hpp); all false =
+  /// no injection, the zero-cost path.
+  sim::InjectSet inject;
+  /// When non-null, the run records cycle-resolved telemetry here
+  /// (System::attach_trace); simulated behaviour is unaffected.
+  trace::TraceSink* trace_sink = nullptr;
+};
+
+/// A tile plan: the TCDM layout and the greedy row tiling every tile
+/// controller (static and stealing, CsrMV and CsrMM) runs over. CsrMM adds
+/// a column-block factor: B is processed `col_block` columns per phase, so
+/// the dense-operand region holds a cols x col_block block and each y
+/// buffer a tile_rows x col_block block (both row-major, ld = col_block).
+/// CsrMV is the one-phase, one-column instance (col_block = num_cols = 1).
+struct McTilePlan {
+  struct Tile {
+    std::uint32_t row_begin;
+    std::uint32_t row_end;
+    std::uint64_t nnz_begin;  ///< ptr[row_begin]
+    std::uint64_t nnz_end;    ///< ptr[row_end]
+  };
+  std::vector<Tile> tiles;
+  std::uint64_t tile_nnz_capacity = 0;
+  std::uint32_t num_cols = 1;   ///< columns of the dense operand (x: 1)
+  std::uint32_t col_block = 1;  ///< columns resident per phase (power of 2)
+  // TCDM layout.
+  addr_t x_addr = 0;      ///< dense-operand block (x, or B's column block)
+  addr_t flags_addr = 0;  ///< tile_ready[2], steal words, done[num_workers]
+  struct Buffer {
+    addr_t ptr_addr;
+    addr_t idcs_addr;
+    addr_t vals_addr;
+    addr_t y_addr;
+  };
+  /// Double buffering: the static scheme stages generation g in buf[g % 2];
+  /// the stealing scheme loads each won tile into whichever is free.
+  Buffer buf[2];
+
+  /// Column phases: ceil(num_cols / col_block).
+  std::uint32_t num_phases() const {
+    return (num_cols + col_block - 1) / col_block;
+  }
+  /// Valid columns of phase `p` (col_block, or fewer in a partial last one).
+  std::uint32_t phase_cols(std::uint32_t p) const {
+    return std::min(col_block, num_cols - p * col_block);
+  }
+};
 
 /// A kernel's operands in main memory (absolute rows: every cluster
 /// addresses the same staged arrays) and the shape of its dense-operand
@@ -116,6 +176,17 @@ void emit_tile_share(isa::Assembler& as, const sparse::CsrMatrix& a,
                      std::pair<std::uint32_t, std::uint32_t> rows,
                      std::uint32_t cols);
 
+/// The static scheme's TCDM flag words: buffer `buf`'s tile generation,
+/// which the controller publishes once the tile has landed, and worker
+/// `worker`'s done generation, which the worker publishes once its share
+/// of a tile is complete.
+inline addr_t tile_flag_addr(const McTilePlan& plan, unsigned buf) {
+  return plan.flags_addr + 8ull * buf;
+}
+inline addr_t done_flag_addr(const McTilePlan& plan, unsigned worker) {
+  return plan.flags_addr + 8ull * (2 + worker);
+}
+
 /// Build one worker's static program: per phase, per tile (generation
 /// g = phase * tiles + tile, staged in buffer g % 2) — poll the buffer's
 /// generation flag, run the worker's share, publish done = g + 1. Ends
@@ -137,50 +208,5 @@ void dma_load_tile(mem::Dma& dma, const McTilePlan& plan,
 void dma_write_back(mem::Dma& dma, const McTilePlan& plan,
                     const TileOperands& ops, unsigned buf,
                     const McTilePlan::Tile& tile, std::uint32_t phase);
-
-/// Static DMCC model for one cluster's shard: per column phase, load the
-/// dense block, stream the tiles double-buffered (tile loads, the TCDM
-/// generation-flag protocol, y write-back), and stop once the phase's
-/// tiles have all written back. The owner advances it: the single-cluster
-/// kernel marks the controller done after its one phase, the System
-/// wrapper arrives at the inter-cluster barrier and starts the next phase
-/// on release. Ticked once per cycle.
-class ShardController {
- public:
-  ShardController(const McTilePlan& plan, const TileOperands& ops,
-                  unsigned num_workers);
-
-  void tick(Cluster& cl);
-
-  /// The current phase's tiles have all written back (inert until
-  /// next_phase).
-  bool phase_done() const { return phase_done_; }
-  void next_phase(Cluster& cl);
-
- private:
-  enum class BufState { kIdle, kLoading, kReady, kWritingBack };
-
-  std::uint64_t gen(std::size_t tile) const {
-    return static_cast<std::uint64_t>(phase_) * plan_.tiles.size() + tile;
-  }
-  void start_phase(Cluster& cl);
-  void start_tile_load(Cluster& cl, std::size_t tile);
-
-  const McTilePlan& plan_;
-  TileOperands ops_;
-  unsigned num_workers_;
-
-  bool started_ = false;
-  bool phase_done_ = false;
-  std::uint32_t phase_ = 0;
-  std::uint64_t queued_in_ = 0;   ///< inbound jobs queued so far
-  std::uint64_t queued_out_ = 0;  ///< outbound jobs queued so far
-  BufState state_[2] = {BufState::kIdle, BufState::kIdle};
-  std::size_t buf_tile_[2] = {0, 0};
-  std::uint64_t load_marker_[2] = {0, 0};
-  std::uint64_t wb_marker_[2] = {0, 0};
-  std::size_t next_tile_ = 0;
-  std::size_t tiles_done_ = 0;
-};
 
 }  // namespace issr::cluster

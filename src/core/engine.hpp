@@ -1,5 +1,5 @@
-// The cycle engine: the one per-cycle loop behind CcSim::run, Cluster::run
-// and System::run. Each iteration advances the simulated units by one
+// The cycle engine: the one per-cycle loop behind CcSim::run and
+// System::run. Each iteration advances the simulated units by one
 // cycle (or, through the fused executor's tick_span, by a burst of fused
 // cycles), checks the run-termination predicate, then consults every
 // unit's next_event horizon for the no-progress watchdog.

@@ -1,5 +1,5 @@
 // Machine-readable result emission for experiment sweeps: a stable JSON
-// document (schema `issr_run.results.v6`), an RFC-4180-style CSV with the
+// document (schema `issr_run.results.v7`), an RFC-4180-style CSV with the
 // same columns, and console summary tables. All numeric formatting is
 // deterministic (doubles render via %.17g round-trip notation), so two
 // runs of the same scenario list — at any worker count, traced or not,

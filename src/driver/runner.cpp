@@ -135,7 +135,7 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts,
     // Hand-built-scenario normalization (expand() never emits these):
     // kDiagonal has no driver generator (the workload builder falls back
     // to uniform) and cores = 0 would mean "cluster default" to
-    // run_csrmv_mc but runs single-CC here — record what executes.
+    // run_csrmv_sys but runs single-CC here — record what executes.
     if (s.family == sparse::MatrixFamily::kDiagonal) {
       out.scenario.family = sparse::MatrixFamily::kUniform;
     }
@@ -182,10 +182,12 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts,
     }
     aids.inject = derive_inject(opts.inject, name, clusters, cores);
 
-    if (clusters > 1) {
-      // Hierarchical system: `clusters` clusters of `cores` workers
-      // around the shared bandwidth-limited main memory.
-      const SysTuning tuning{s.noc_links, s.noc_latency, s.steal};
+    if (clusters > 1 || cores > 1) {
+      // The System model: `clusters` clusters of `cores` workers around
+      // the shared main memory. One cluster runs without a fabric, as
+      // the paper's standalone cluster.
+      SysTuning tuning{s.noc_links, s.noc_latency, s.steal};
+      tuning.fabric = clusters > 1;
       const auto r = run_csrmv_sys(s.variant, s.width, clusters, cores, a, x,
                                    sink.get(), /*validate=*/true, aids,
                                    tuning);
@@ -198,7 +200,7 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts,
       out.metrics = metrics::harvest_system(
           r.sys.system, r.sys.steal ? &r.sys.queue : nullptr);
       apply_fault(out, r.sys.system.fault);
-    } else if (cores == 1) {
+    } else {
       const auto r = run_csrmv_cc(s.variant, s.width, a, x, sink.get(),
                                   /*validate=*/true, aids);
       out.ok = r.ok;
@@ -209,18 +211,6 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts,
       out.stalls = r.sim.stalls;
       out.metrics = metrics::harvest_cc(r.sim);
       apply_fault(out, r.sim.fault);
-    } else {
-      const auto r = run_csrmv_mc(s.variant, s.width, cores, a, x,
-                                  sink.get(), /*validate=*/true, aids);
-      out.ok = r.ok;
-      out.cycles = r.mc.cluster.cycles;
-      out.fpu_util = r.mc.cluster.fpu_util();
-      out.macs = r.mc.cluster.total_macs();
-      out.core_cycles =
-          r.mc.cluster.cycles * static_cast<std::uint64_t>(cores);
-      out.stalls = r.mc.cluster.total_stalls();
-      out.metrics = metrics::harvest_cluster(r.mc.cluster);
-      apply_fault(out, r.mc.cluster.fault);
     }
   }
   out.macs_per_cycle = out.cycles ? static_cast<double>(out.macs) /

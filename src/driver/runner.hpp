@@ -1,6 +1,6 @@
 // Scenario execution: run_scenario() materializes a scenario's workload
 // from its derived seed (or picks it up from the sweep asset cache),
-// dispatches to the right simulator (single CC or cluster), and collects
+// dispatches to the right simulator (single CC or System), and collects
 // a uniform metrics record. Called alone with no SweepContext, it is the
 // plain reference path; driver/sweep.hpp runs whole scenario lists.
 #pragma once

@@ -140,6 +140,7 @@ SysRun run_csrmv_sys(kernels::Variant variant, sparse::IndexWidth width,
   cfg.trace_sink = trace;
   cfg.system.arena = aids.arena;
   cfg.system.num_clusters = std::max(1u, clusters);
+  cfg.system.fabric = tuning.fabric;
   if (cores != 0) cfg.system.cluster.num_workers = cores;
   cfg.system.noc.link_beats_per_cycle = tuning.noc_links;
   cfg.system.noc.link_latency = tuning.noc_latency;
@@ -158,20 +159,9 @@ McRun run_csrmv_mc(kernels::Variant variant, sparse::IndexWidth width,
                    unsigned cores, const sparse::CsrMatrix& a,
                    const sparse::DenseVector& x, trace::TraceSink* trace,
                    bool validate, const RunAids& aids) {
-  cluster::McCsrmvConfig cfg;
-  cfg.variant = variant;
-  cfg.width = width;
-  cfg.trace_sink = trace;
-  cfg.cluster.arena = aids.arena;
-  if (cores != 0) cfg.cluster.num_workers = cores;
-  cfg.max_cycles = aids.max_cycles;
-  cfg.inject = aids.inject;
-  McRun out;
-  out.mc = cluster::run_csrmv_multicore(a, x, cfg);
-  if (validate && !out.mc.cluster.fault) {
-    out.ok = sparse::allclose(out.mc.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9);
-  }
-  return out;
+  SysRun r = run_csrmv_sys(variant, width, 1, cores, a, x, trace, validate,
+                           aids, SysTuning{.fabric = false});
+  return {{std::move(r.sys.system.clusters[0])}, r.ok};
 }
 
 }  // namespace issr::driver

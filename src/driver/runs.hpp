@@ -6,7 +6,6 @@
 // returns a validation flag; callers decide whether a mismatch is fatal.
 #pragma once
 
-#include "cluster/csrmv_mc.hpp"
 #include "common/arena.hpp"
 #include "core/sim.hpp"
 #include "driver/assets.hpp"
@@ -54,13 +53,7 @@ struct CcRun {
   bool ok = false;  ///< y matched ref_csrmv within tolerance
 };
 
-/// Result of a multicore (cluster) CsrMV run.
-struct McRun {
-  cluster::McCsrmvResult mc;
-  bool ok = false;  ///< y matched ref_csrmv within tolerance
-};
-
-/// Result of a multi-cluster (system) CsrMV run.
+/// Result of a System CsrMV run, one cluster or several.
 struct SysRun {
   system::SysCsrmvResult sys;
   bool ok = false;  ///< y matched ref_csrmv within tolerance
@@ -76,6 +69,10 @@ struct SysTuning {
   bool steal = true;         ///< dynamic inter-cluster work stealing
   /// Inert: kept only for perfbench, see ROADMAP item 6.
   unsigned sys_threads = 1;
+  /// False runs one cluster on the System with no fabric
+  /// (SystemConfig::fabric): the paper's standalone cluster, which every
+  /// single-cluster scenario uses. Needs clusters <= 1.
+  bool fabric = true;
 };
 
 /// `validate = false` skips the host-reference comparison (and leaves
@@ -96,21 +93,29 @@ CcRun run_csrmv_cc(kernels::Variant variant, sparse::IndexWidth width,
                    trace::TraceSink* trace = nullptr, bool validate = true,
                    const RunAids& aids = {});
 
-/// `cores == 0` selects the library's ClusterConfig default worker count.
-McRun run_csrmv_mc(kernels::Variant variant, sparse::IndexWidth width,
-                   unsigned cores, const sparse::CsrMatrix& a,
-                   const sparse::DenseVector& x,
-                   trace::TraceSink* trace = nullptr, bool validate = true,
-                   const RunAids& aids = {});
-
-/// Multi-cluster CsrMV on the hierarchical system model
-/// (system/csrmv_sys.hpp): `clusters` clusters of `cores` workers each
-/// around the shared bandwidth-limited main memory. `cores == 0` selects
-/// the library's default worker count; `clusters == 0` means 1.
+/// CsrMV on the System model (system/csrmv_sys.hpp): `clusters` clusters
+/// of `cores` workers each around the shared main memory, behind the
+/// bandwidth-limited fabric unless `tuning.fabric` is false. `cores == 0`
+/// selects the library's default worker count; `clusters == 0` means 1.
 SysRun run_csrmv_sys(kernels::Variant variant, sparse::IndexWidth width,
                      unsigned clusters, unsigned cores,
                      const sparse::CsrMatrix& a, const sparse::DenseVector& x,
                      trace::TraceSink* trace = nullptr, bool validate = true,
                      const RunAids& aids = {}, const SysTuning& tuning = {});
+
+/// Kept only for perfbench, see ROADMAP item 6: a System-of-one CsrMV
+/// (run_csrmv_sys with no fabric) in the result shape perfbench reads.
+struct McCsrmvResult {
+  cluster::ClusterResult cluster;
+};
+struct McRun {
+  McCsrmvResult mc;
+  bool ok = false;
+};
+McRun run_csrmv_mc(kernels::Variant variant, sparse::IndexWidth width,
+                   unsigned cores, const sparse::CsrMatrix& a,
+                   const sparse::DenseVector& x,
+                   trace::TraceSink* trace = nullptr, bool validate = true,
+                   const RunAids& aids = {});
 
 }  // namespace issr::driver

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdint>
 
-#include "cluster/cluster.hpp"
 #include "core/sim.hpp"
 #include "system/steal.hpp"
 #include "system/system.hpp"
@@ -97,6 +96,35 @@ void fill_dma(Registry& reg, std::uint64_t busy_cycles,
   reg.add("dma_bytes_out", bytes_out);
 }
 
+/// Interconnect: per-link busy fraction against the offered duplex
+/// capacity (2 directions x link_beats_per_cycle x cycles); the gauge
+/// keeps the most-loaded link. Unlimited links report 0 — there is no
+/// capacity to saturate.
+void fill_noc(Registry& reg, const system::SystemResult& r) {
+  std::uint64_t beats_in = 0, beats_out = 0, denied_in = 0, denied_out = 0;
+  double max_link_util = 0.0;
+  const std::uint64_t duplex_capacity =
+      2ull * r.noc_config.link_beats_per_cycle * r.cycles;
+  for (const auto& l : r.noc_links) {
+    beats_in += l.beats_in;
+    beats_out += l.beats_out;
+    denied_in += l.denied_in;
+    denied_out += l.denied_out;
+    const double u = ratio(l.beats_in + l.beats_out, duplex_capacity);
+    if (u > max_link_util) max_link_util = u;
+  }
+  reg.observe_max("util_noc_link", max_link_util);
+  reg.observe_max(
+      "noc_denied_frac",
+      ratio(denied_in + denied_out,
+            beats_in + beats_out + denied_in + denied_out));
+  reg.add("noc_beats_in", beats_in);
+  reg.add("noc_beats_out", beats_out);
+  reg.add("noc_denied_in", denied_in);
+  reg.add("noc_denied_out", denied_out);
+  reg.add("noc_group_conflicts", r.noc_group_conflicts);
+}
+
 }  // namespace
 
 Snapshot harvest_cc(const core::CcSimResult& r) {
@@ -115,19 +143,6 @@ Snapshot harvest_cc(const core::CcSimResult& r) {
       r.ssr_lane.port_mux_conflicts + r.issr_lane.port_mux_conflicts;
   in.barrier_stalls = r.stalls[trace::Bucket::kBarrier];
   fill_common(reg, in);
-  return reg.snapshot();
-}
-
-Snapshot harvest_cluster(const cluster::ClusterResult& r) {
-  Registry reg;
-  CommonInputs in;
-  in.cycles = r.cycles;
-  accumulate_cluster(in, r);
-  in.fpu_util = r.fpu_util();
-  fill_common(reg, in);
-  fill_tcdm(reg, r.tcdm);
-  fill_dma(reg, r.dma.busy_cycles, r.cycles, r.dma.jobs,
-           r.dma.noc_denied_cycles, r.main_mem_read, r.main_mem_written);
   return reg.snapshot();
 }
 
@@ -155,33 +170,7 @@ Snapshot harvest_system(const system::SystemResult& r,
   fill_dma(reg, dma_busy, r.cycles * r.clusters.size(), dma_jobs, dma_denied,
            r.main_mem_read, r.main_mem_written);
 
-  // Interconnect: per-link busy fraction against the offered duplex
-  // capacity (2 directions x link_beats_per_cycle x cycles); the gauge
-  // keeps the most-loaded link. Unlimited links report 0 — there is no
-  // capacity to saturate.
-  std::uint64_t beats_in = 0, beats_out = 0, denied_in = 0, denied_out = 0;
-  double max_link_util = 0.0;
-  const std::uint64_t duplex_capacity =
-      2ull * r.noc_config.link_beats_per_cycle * r.cycles;
-  for (const auto& l : r.noc_links) {
-    beats_in += l.beats_in;
-    beats_out += l.beats_out;
-    denied_in += l.denied_in;
-    denied_out += l.denied_out;
-    const double u = ratio(l.beats_in + l.beats_out, duplex_capacity);
-    if (u > max_link_util) max_link_util = u;
-  }
-  reg.observe_max("util_noc_link", max_link_util);
-  reg.observe_max(
-      "noc_denied_frac",
-      ratio(denied_in + denied_out,
-            beats_in + beats_out + denied_in + denied_out));
-  reg.add("noc_beats_in", beats_in);
-  reg.add("noc_beats_out", beats_out);
-  reg.add("noc_denied_in", denied_in);
-  reg.add("noc_denied_out", denied_out);
-  reg.add("noc_group_conflicts", r.noc_group_conflicts);
-
+  if (!r.noc_links.empty()) fill_noc(reg, r);
   if (queue != nullptr) {
     reg.add("steal_claims", queue->claims);
     reg.add("steal_claim_wait_cycles", queue->claim_wait_cycles);

@@ -1,9 +1,9 @@
 // Harvest-time derivation of simulated-hardware metrics. Every function
 // here is a pure post-run projection of the statistics structs the
-// simulators already collect (core/sim.hpp, cluster/cluster.hpp,
-// system/system.hpp) into a metrics::Snapshot — nothing is recorded
-// during simulation, so enabling metrics cannot perturb timing and
-// result files stay bytewise identical with metrics on or off.
+// simulators already collect (core/sim.hpp, system/system.hpp) into a
+// metrics::Snapshot — nothing is recorded during simulation, so enabling
+// metrics cannot perturb timing and result files stay bytewise identical
+// with metrics on or off.
 //
 // The catalog (docs/OBSERVABILITY.md documents every series):
 //
@@ -35,9 +35,6 @@
 namespace issr::core {
 struct CcSimResult;
 }
-namespace issr::cluster {
-struct ClusterResult;
-}
 namespace issr::system {
 struct SystemResult;
 struct SysQueueStats;
@@ -48,11 +45,9 @@ namespace issr::metrics {
 /// Single core complex on ideal memory (SpVV / single-core CsrMV runs).
 Snapshot harvest_cc(const core::CcSimResult& r);
 
-/// One cluster (multicore CsrMV): adds TCDM/DMA series.
-Snapshot harvest_cluster(const cluster::ClusterResult& r);
-
-/// Multi-cluster system: adds interconnect series and, when the run used
-/// the stealing path, the work-queue claim series.
+/// A System of one or more clusters: adds the TCDM and DMA series, the
+/// interconnect series when the System had a fabric, and, when the run
+/// used the stealing path, the work-queue claim series.
 Snapshot harvest_system(const system::SystemResult& r,
                         const system::SysQueueStats* queue = nullptr);
 

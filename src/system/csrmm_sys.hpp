@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/csrmv_mc.hpp"
+#include "cluster/csrmv_shard.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 #include "system/system.hpp"

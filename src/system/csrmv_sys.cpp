@@ -8,34 +8,65 @@
 namespace issr::system {
 
 using cluster::McTilePlan;
-using cluster::ShardController;
 using sparse::IndexWidth;
 
 namespace {
 
-/// The System's barrier wrapper around a cluster's static ShardController:
-/// once a phase's tiles have all written back, arrive at the system
-/// barrier; on release start the next phase, or mark the controller done
-/// after the last. Clusters with an empty shard only arrive, once per
-/// phase (no dense block, no tiles). After `passed_` every invocation is
-/// a no-op.
-class SysShardController {
+/// The static DMCC controller of one cluster's shard. Per column phase it
+/// loads the dense block, streams the tiles double-buffered (tile loads,
+/// the TCDM generation-flag protocol, y write-back), and once every tile
+/// has written back advances: with a fabric it arrives at the
+/// inter-cluster barrier and starts the next phase on release; without one
+/// it starts the next phase, or marks itself done after the last, in the
+/// same cycle. A cluster with an empty shard in a System with a fabric
+/// loads nothing and only arrives, once per phase. After the last phase
+/// every invocation is a no-op.
+class ShardController {
  public:
-  SysShardController(std::shared_ptr<ShardController> shard, SysBarrier& bar,
-                     unsigned idx, std::uint32_t num_phases)
-      : shard_(std::move(shard)), bar_(&bar), idx_(idx), phases_(num_phases) {}
+  /// `bar` is the System's inter-cluster barrier (null without a fabric),
+  /// at which this controller arrives as cluster `idx`.
+  ShardController(const McTilePlan& plan, const cluster::TileOperands& ops,
+                  unsigned workers, SysBarrier* bar, unsigned idx)
+      : plan_(plan), ops_(ops), workers_(workers), bar_(bar), idx_(idx) {}
 
-  void operator()(Cluster& cl, cycle_t now) {
-    if (passed_) return;
-    if (!arrived_) {
-      if (shard_) {
-        shard_->tick(cl);
-        if (!shard_->phase_done()) return;
-      }
-      arrived_ = true;
-      bar_->arrive(idx_, now);
-      return;
-    }
+  void operator()(Cluster& cl, cycle_t now);
+
+ private:
+  enum class BufState { kIdle, kLoading, kReady, kWritingBack };
+
+  std::uint64_t gen(std::size_t tile) const {
+    return static_cast<std::uint64_t>(phase_) * plan_.tiles.size() + tile;
+  }
+  void start_phase(Cluster& cl);
+  void start_tile_load(Cluster& cl, std::size_t tile);
+  void stream_tiles(Cluster& cl);
+  /// Past a completed phase: start the next one, or mark the controller
+  /// done after the last (then false).
+  bool next_phase(Cluster& cl);
+
+  const McTilePlan& plan_;
+  cluster::TileOperands ops_;
+  unsigned workers_;
+  SysBarrier* bar_;
+  unsigned idx_;
+
+  bool started_ = false;
+  bool arrived_ = false;
+  bool passed_ = false;
+  std::uint32_t phase_ = 0;
+  std::uint64_t queued_in_ = 0;   ///< inbound jobs queued so far
+  std::uint64_t queued_out_ = 0;  ///< outbound jobs queued so far
+  BufState state_[2] = {BufState::kIdle, BufState::kIdle};
+  std::size_t buf_tile_[2] = {0, 0};
+  std::uint64_t load_marker_[2] = {0, 0};
+  std::uint64_t wb_marker_[2] = {0, 0};
+  std::size_t next_tile_ = 0;
+  std::size_t tiles_done_ = 0;
+};
+
+void ShardController::operator()(Cluster& cl, cycle_t now) {
+  if (passed_) return;
+  if (arrived_) {
     if (!bar_->released(idx_, now)) {
       // Parked on the barrier: declare the wake-up cycle (kCycleNever
       // while the release is undecided) for the no-progress watchdog.
@@ -43,26 +74,102 @@ class SysShardController {
       return;
     }
     arrived_ = false;
-    if (++phase_ == phases_) {
-      passed_ = true;
-      cl.set_controller_done(true);
-    } else if (shard_) {
-      shard_->next_phase(cl);
-    } else {
-      arrived_ = true;
-      bar_->arrive(idx_, now);
+    // An empty shard's next phase is complete at once: arrive again.
+    if (!next_phase(cl) || !plan_.tiles.empty()) return;
+  } else {
+    if (!started_) {
+      started_ = true;
+      start_phase(cl);
+    }
+    stream_tiles(cl);
+    if (tiles_done_ < plan_.tiles.size()) return;
+    if (bar_ == nullptr) {
+      // No fabric, no barrier to wait for: advance in this cycle.
+      next_phase(cl);
+      return;
     }
   }
+  arrived_ = true;
+  bar_->arrive(idx_, now);
+}
 
- private:
-  std::shared_ptr<ShardController> shard_;
-  SysBarrier* bar_;
-  unsigned idx_;
-  std::uint32_t phases_;
-  std::uint32_t phase_ = 0;
-  bool arrived_ = false;
-  bool passed_ = false;
-};
+bool ShardController::next_phase(Cluster& cl) {
+  if (++phase_ == plan_.num_phases()) {
+    passed_ = true;
+    cl.set_controller_done(true);
+    return false;
+  }
+  start_phase(cl);
+  return true;
+}
+
+void ShardController::start_phase(Cluster& cl) {
+  next_tile_ = 0;
+  tiles_done_ = 0;
+  if (plan_.tiles.empty() && bar_ != nullptr) return;
+  // The dense block rides the inbound channel ahead of the tile loads, so
+  // no tile flag can publish before it has landed (for CsrMV: the x
+  // transfer is not overlapped with compute).
+  cluster::dma_load_block(cl.dma(), plan_, ops_, phase_);
+  queued_in_ += 1;
+  if (next_tile_ < plan_.tiles.size()) start_tile_load(cl, next_tile_++);
+  if (next_tile_ < plan_.tiles.size()) start_tile_load(cl, next_tile_++);
+}
+
+void ShardController::start_tile_load(Cluster& cl, std::size_t tile) {
+  const unsigned b = static_cast<unsigned>(gen(tile) % 2);
+  cluster::dma_load_tile(cl.dma(), plan_, ops_, b, plan_.tiles[tile]);
+  load_marker_[b] = queued_in_ += 3;
+  state_[b] = BufState::kLoading;
+  buf_tile_[b] = tile;
+}
+
+void ShardController::stream_tiles(Cluster& cl) {
+  auto& dma = cl.dma();
+  auto& store = cl.tcdm().store();
+  for (unsigned b = 0; b < 2; ++b) {
+    switch (state_[b]) {
+      case BufState::kLoading:
+        if (dma.completed_in() >= load_marker_[b]) {
+          // Publish the tile generation: workers poll for gen + 1.
+          store.store_u64(cluster::tile_flag_addr(plan_, b),
+                          gen(buf_tile_[b]) + 1);
+          state_[b] = BufState::kReady;
+        }
+        break;
+      case BufState::kReady: {
+        // All workers done with this tile?
+        const std::uint64_t done = gen(buf_tile_[b]) + 1;
+        bool all_done = true;
+        for (unsigned w = 0; w < workers_; ++w) {
+          if (store.load_u64(cluster::done_flag_addr(plan_, w)) < done) {
+            all_done = false;
+            break;
+          }
+        }
+        if (all_done) {
+          cluster::dma_write_back(dma, plan_, ops_, b,
+                                  plan_.tiles[buf_tile_[b]], phase_);
+          wb_marker_[b] = ++queued_out_;
+          state_[b] = BufState::kWritingBack;
+        }
+        break;
+      }
+      case BufState::kWritingBack:
+        if (dma.completed_out() >= wb_marker_[b]) {
+          // Generations alternate buffers, so the next tile lands in b.
+          ++tiles_done_;
+          state_[b] = BufState::kIdle;
+          if (next_tile_ < plan_.tiles.size()) {
+            start_tile_load(cl, next_tile_++);
+          }
+        }
+        break;
+      case BufState::kIdle:
+        break;
+    }
+  }
+}
 
 std::uint64_t total_cost(const sparse::CsrMatrix& a) {
   std::uint64_t total = 0;
@@ -170,14 +277,11 @@ TileRun run_tile_system(const sparse::CsrMatrix& a, const SystemConfig& cfg,
       wire(c, std::make_shared<StealController>(run.plans[c], ops, images,
                                                 queues, sys.barrier(),
                                                 sys.noc(), c, workers));
-      continue;
+    } else {
+      wire(c, std::make_shared<ShardController>(
+                  run.plans[c], ops, workers,
+                  cfg.fabric ? &sys.barrier() : nullptr, c));
     }
-    std::shared_ptr<ShardController> shard;
-    if (!run.plans[c].tiles.empty()) {
-      shard = std::make_shared<ShardController>(run.plans[c], ops, workers);
-    }
-    wire(c, std::make_shared<SysShardController>(std::move(shard),
-                                                 sys.barrier(), c, phases));
   }
 
   const auto& mc = k.mc;

@@ -5,8 +5,8 @@
 //  - static: rows are sharded across clusters by a cost-balanced
 //    partition (each shard gets an equal slice of nnz-plus-row-overhead
 //    work, the same balance heuristic the sweep scheduler uses), and every
-//    cluster runs the paper's double-buffered tile scheme
-//    (cluster/csrmv_shard.hpp) over its shard, arriving at the
+//    cluster's static controller runs the paper's double-buffered tile
+//    scheme (cluster/csrmv_shard.hpp) over its shard, arriving at the
 //    inter-cluster barrier (system/barrier.hpp) once per column phase;
 //  - stealing (system/steal.hpp): every cluster claims tiles of one
 //    fine-grained global plan from a shared queue.
@@ -16,12 +16,14 @@
 // zero inter-cluster communication during compute. The final barrier
 // doubles as completion, so the reported cycle count includes the release
 // latency a real system would pay before the result could be consumed.
+// A System with no fabric (SystemConfig::fabric) has one cluster and no
+// barrier: its static controller takes the whole matrix and completes in
+// the cycle its last tile has written back.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "cluster/csrmv_mc.hpp"
 #include "cluster/csrmv_shard.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"

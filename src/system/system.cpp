@@ -26,21 +26,24 @@ System::System(
       barrier_(config.num_clusters, config.barrier_hop_latency,
                config.barrier_fan_in) {
   assert(config_.num_clusters >= 1);
+  assert(config_.fabric || config_.num_clusters == 1);
   assert(programs_per_cluster.size() == config_.num_clusters);
   if (config_.arena != nullptr) main_.store().set_arena(config_.arena);
   Cluster::CompiledCache compiled;
   for (unsigned c = 0; c < config_.num_clusters; ++c) {
-    ClusterConfig cc = config_.cluster;
-    cc.shared_main = &main_;
-    cc.arena = config_.arena;
     clusters_.push_back(std::make_unique<Cluster>(
-        cc, std::move(programs_per_cluster[c]), &compiled));
-    clusters_.back()->dma().set_noc(&noc_, c);
+        config_.cluster, main_, config_.arena,
+        std::move(programs_per_cluster[c]), compiled));
+    if (config_.fabric) clusters_.back()->dma().set_noc(&noc_, c);
   }
   compiled_programs_ = compiled.size();
 }
 
 void System::attach_trace(trace::TraceSink& sink) {
+  if (!config_.fabric) {
+    clusters_[0]->attach_trace(sink);
+    return;
+  }
   for (unsigned c = 0; c < num_clusters(); ++c) {
     // Appended piecewise: GCC 12 misreads `"c" + std::string` as an
     // overlapping memcpy (-Wrestrict) once it is inlined here.
@@ -63,6 +66,7 @@ SystemResult System::run(cycle_t max_cycles) {
   struct Units {
     System& s;
     void tick(cycle_t now) {
+      if (!s.config_.fabric) return s.clusters_[0]->tick(now);
       s.noc_.begin_cycle(now);
       const unsigned n = s.num_clusters();
       const unsigned start = static_cast<unsigned>(now % n);
@@ -107,7 +111,11 @@ SystemResult System::run(cycle_t max_cycles) {
   }
   noc_.set_unlimited(false);
   noc_.close_trace();
-  if (aborted) {
+  if (aborted && !config_.fabric) {
+    // No fabric, nothing above the cluster to classify: the cluster's
+    // fault is the run's.
+    result.fault = result.clusters[0].fault;
+  } else if (aborted) {
     // System-level classification subsumes the per-cluster ones: a run
     // wedged with clusters parked on the inter-cluster barrier (or any
     // worker at its HW barrier) is a barrier deadlock; otherwise the
@@ -151,9 +159,11 @@ SystemResult System::run(cycle_t max_cycles) {
   }
   result.main_mem_read = main_.bytes_read();
   result.main_mem_written = main_.bytes_written();
-  result.noc_links = noc_.link_stats();
-  result.noc_group_conflicts = noc_.group_conflicts();
-  result.noc_config = noc_.config();
+  if (config_.fabric) {
+    result.noc_links = noc_.link_stats();
+    result.noc_group_conflicts = noc_.group_conflicts();
+    result.noc_config = noc_.config();
+  }
   return result;
 }
 

@@ -8,15 +8,22 @@
 // cluster; the System model asks what its kernels do when several such
 // clusters contend for one memory system.
 //
-// Simulation runs all clusters in lockstep system cycles through the same
-// serial engine as the single-cluster path (core/engine.hpp): a cycle
-// resets the interconnect's per-cycle budgets, then ticks every cluster
-// in a rotating order — the rotation is the NoC's arbiter, so no cluster
-// is statically favored at a contended link or bank group and runs stay
-// reproducible. A controller parked on the inter-cluster barrier declares
-// its wake-up cycle (set_controller_idle_until), kCycleNever while the
-// release is undecided, so a release that can never arrive stops the run
-// at the no-progress watchdog.
+// The paper's own cluster is the System of one with no fabric
+// (SystemConfig::fabric = false): no interconnect, no crossbar and no
+// inter-cluster barrier. Its cluster's DMA reaches main memory directly,
+// the run ends when its controller is done, and faults, traces and
+// statistics read as the cluster's own. Every single-cluster run takes
+// this path, so one cluster and many run through the same code.
+//
+// Simulation runs all clusters in lockstep system cycles through the
+// serial engine (core/engine.hpp): a cycle resets the interconnect's
+// per-cycle budgets, then ticks every cluster in a rotating order — the
+// rotation is the NoC's arbiter, so no cluster is statically favored at a
+// contended link or bank group and runs stay reproducible. A controller
+// parked on the inter-cluster barrier declares its wake-up cycle
+// (set_controller_idle_until), kCycleNever while the release is
+// undecided, so a release that can never arrive stops the run at the
+// no-progress watchdog.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +45,7 @@ using cluster::ClusterResult;
 
 struct SystemConfig {
   unsigned num_clusters = 1;
-  /// Per-cluster template (worker count, TCDM, CC parameters). Its
-  /// arena/shared_main members are overridden per cluster by the System.
+  /// Per-cluster template (worker count, TCDM, CC parameters).
   ClusterConfig cluster;
   /// Interconnect topology between the clusters and the shared memory:
   /// per-cluster link budgets, bank-group crossbar, link latency
@@ -50,6 +56,10 @@ struct SystemConfig {
   /// the defaults give 8 clusters the flat model's 32-cycle release).
   cycle_t barrier_hop_latency = 8;
   unsigned barrier_fan_in = 4;
+  /// False selects the topology with no fabric: no interconnect, no
+  /// crossbar and no inter-cluster barrier, so `noc` and the barrier
+  /// settings go unused. Only a single cluster may run on it.
+  bool fabric = true;
   /// When non-null, backs the shared main memory and every cluster's
   /// TCDM pages (observational only; common/arena.hpp).
   Arena* arena = nullptr;
@@ -79,7 +89,8 @@ struct SystemResult {
   std::uint64_t main_mem_read = 0;
   std::uint64_t main_mem_written = 0;
   /// Per-cluster link traffic/denial counters and the number of denials
-  /// attributable to a saturated bank group (mem/interconnect.hpp).
+  /// attributable to a saturated bank group (mem/interconnect.hpp). Empty
+  /// when the System had no fabric.
   std::vector<mem::LinkStats> noc_links;
   std::uint64_t noc_group_conflicts = 0;
   /// The interconnect topology the run used (as the System normalized
@@ -152,11 +163,15 @@ class System {
   }
 
   /// Attach cycle-resolved tracing: every cluster's tracks under a
-  /// "c<k>." prefix plus the inter-cluster barrier's release track.
+  /// "c<k>." prefix plus the interconnect's and the inter-cluster
+  /// barrier's tracks. Without a fabric, only the cluster's own tracks,
+  /// unprefixed.
   void attach_trace(trace::TraceSink& sink);
 
   /// Run to completion (all clusters done). If `max_cycles` elapse
-  /// first, the result comes back with `aborted` set.
+  /// first, the result comes back with `aborted` set and `fault` says
+  /// why: the system-wide classification, or without a fabric the
+  /// cluster's own.
   SystemResult run(cycle_t max_cycles = 2'000'000'000);
 
  private:

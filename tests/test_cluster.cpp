@@ -1,14 +1,14 @@
 // Cluster tests: the hardware barrier, multi-worker program execution,
 // the tile planner's invariants (column phases and row shares included),
 // and end-to-end multicore CsrMV equality with the golden reference
-// across variants and forced multi-tile runs.
+// across variants and forced multi-tile runs. A cluster runs as the System
+// of one, with no fabric (system/system.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "cluster/barrier.hpp"
-#include "cluster/csrmv_mc.hpp"
 #include "cluster/csrmv_shard.hpp"
 #include "common/rng.hpp"
 #include "isa/assembler.hpp"
@@ -16,6 +16,7 @@
 #include "sparse/generate.hpp"
 #include "sparse/reference.hpp"
 #include "sparse/suite.hpp"
+#include "system/csrmv_sys.hpp"
 
 namespace issr::cluster {
 namespace {
@@ -23,6 +24,17 @@ namespace {
 using namespace issr::isa;
 using kernels::Variant;
 using sparse::IndexWidth;
+using system::run_csrmv_system;
+
+/// A single-cluster CsrMV configuration: the System of one, no fabric.
+system::SysCsrmvConfig one_cluster(Variant variant,
+                                   IndexWidth width = IndexWidth::kU16) {
+  system::SysCsrmvConfig cfg;
+  cfg.variant = variant;
+  cfg.width = width;
+  cfg.system.fabric = false;
+  return cfg;
+}
 
 TEST(HwBarrier, ReleasesOnlyWhenAllArrive) {
   HwBarrier b(3);
@@ -48,11 +60,12 @@ TEST(HwBarrier, ReusableAcrossGenerations) {
 TEST(Cluster, WorkersShareTcdmAndBarrier) {
   // Each worker writes its hartid to a slot, barriers, then sums all
   // slots; every worker must see every other worker's write.
-  ClusterConfig cfg;
-  const addr_t slots = cfg.tcdm.base;
-  const addr_t sums = cfg.tcdm.base + 8 * 8;
+  system::SystemConfig cfg;
+  cfg.fabric = false;
+  const addr_t slots = cfg.cluster.tcdm.base;
+  const addr_t sums = cfg.cluster.tcdm.base + 8 * 8;
   std::vector<std::shared_ptr<const isa::Program>> programs;
-  for (unsigned w = 0; w < cfg.num_workers; ++w) {
+  for (unsigned w = 0; w < cfg.cluster.num_workers; ++w) {
     Assembler a;
     a.csrrs(kT0, kCsrMhartid, kZero);
     a.li(kT1, static_cast<std::int64_t>(slots));
@@ -73,11 +86,11 @@ TEST(Cluster, WorkersShareTcdmAndBarrier) {
     kernels::emit_halt(a);
     programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
-  Cluster cluster(cfg, std::move(programs));
-  const auto result = cluster.run(1'000'000);
+  system::System sys(cfg, {std::move(programs)});
+  const auto result = sys.run(1'000'000);
   EXPECT_GT(result.cycles, 0u);
   for (unsigned w = 0; w < 8; ++w) {
-    EXPECT_EQ(cluster.tcdm().store().load_u64(sums + 8 * w), 28u)
+    EXPECT_EQ(sys.cluster(0).tcdm().store().load_u64(sums + 8 * w), 28u)
         << "worker " << w;
   }
 }
@@ -87,7 +100,7 @@ TEST(TilePlan, CoversAllRowsWithoutOverlap) {
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 500, 256, 20);
   McCsrmvConfig cfg;
   cfg.max_tile_rows = 64;
-  const auto plan = plan_tiles(a, cfg);
+  const auto plan = plan_tiles_range(a, cfg, 0, a.rows());
   ASSERT_FALSE(plan.tiles.empty());
   EXPECT_EQ(plan.tiles.front().row_begin, 0u);
   EXPECT_EQ(plan.tiles.back().row_end, a.rows());
@@ -108,7 +121,7 @@ TEST(TilePlan, BuffersFitTcdm) {
   Rng rng(1001);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 100, 2048, 30);
   McCsrmvConfig cfg;
-  const auto plan = plan_tiles(a, cfg);
+  const auto plan = plan_tiles_range(a, cfg, 0, a.rows());
   const auto& tcdm = cfg.cluster.tcdm;
   const unsigned iw = sparse::index_bytes(cfg.width);
   for (const auto& buf : plan.buf) {
@@ -157,7 +170,7 @@ TEST(TilePlan, ColumnBlockSetsPhasesAndWidensBlocks) {
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 200, 96, 10);
   McCsrmvConfig cfg;
   cfg.max_tile_rows = 64;
-  const auto mv = plan_tiles(a, cfg);
+  const auto mv = plan_tiles_range(a, cfg, 0, a.rows());
   EXPECT_EQ(mv.num_phases(), 1u);
   EXPECT_EQ(mv.phase_cols(0), 1u);
   const auto mm = plan_tiles_range(a, cfg, 0, a.rows(), 0, 0, 10, 4);
@@ -196,11 +209,8 @@ TEST_P(ClusterCsrmv, MatchesReferenceSingleTile) {
   Rng rng(1100);
   const auto a = sparse::random_uniform_matrix(rng, 64, 128, 700);
   const auto x = sparse::random_dense_vector(rng, 128);
-  McCsrmvConfig cfg;
-  cfg.variant = v;
-  cfg.width = w;
-  const auto r = run_csrmv_multicore(a, x, cfg);
-  EXPECT_EQ(r.plan.tiles.size(), 1u);
+  const auto r = run_csrmv_system(a, x, one_cluster(v, w));
+  EXPECT_EQ(r.plans[0].tiles.size(), 1u);
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
 }
 
@@ -209,12 +219,10 @@ TEST_P(ClusterCsrmv, MatchesReferenceForcedMultiTile) {
   Rng rng(1101);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 300, 96, 9);
   const auto x = sparse::random_dense_vector(rng, 96);
-  McCsrmvConfig cfg;
-  cfg.variant = v;
-  cfg.width = w;
+  auto cfg = one_cluster(v, w);
   cfg.max_tile_rows = 48;  // forces ~7 tiles
-  const auto r = run_csrmv_multicore(a, x, cfg);
-  EXPECT_GE(r.plan.tiles.size(), 6u);
+  const auto r = run_csrmv_system(a, x, cfg);
+  EXPECT_GE(r.plans[0].tiles.size(), 6u);
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
 }
 
@@ -228,10 +236,7 @@ TEST_P(ClusterCsrmv, HandlesEmptyRowsAndFewRows) {
   coo.add(4, 0, 3.0);
   const auto a = sparse::CsrMatrix::from_coo(coo);
   const auto x = sparse::random_dense_vector(rng, 40);
-  McCsrmvConfig cfg;
-  cfg.variant = v;
-  cfg.width = w;
-  const auto r = run_csrmv_multicore(a, x, cfg);
+  const auto r = run_csrmv_system(a, x, one_cluster(v, w));
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
 }
 
@@ -251,14 +256,10 @@ TEST(ClusterCsrmvPerf, IssrBeatsBaseAtModerateDensity) {
   Rng rng(1200);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 256, 256, 32);
   const auto x = sparse::random_dense_vector(rng, 256);
-  McCsrmvConfig base_cfg;
-  base_cfg.variant = Variant::kBase;
-  McCsrmvConfig issr_cfg;
-  issr_cfg.variant = Variant::kIssr;
-  const auto base = run_csrmv_multicore(a, x, base_cfg);
-  const auto issr = run_csrmv_multicore(a, x, issr_cfg);
-  const double speedup = static_cast<double>(base.cluster.cycles) /
-                         static_cast<double>(issr.cluster.cycles);
+  const auto base = run_csrmv_system(a, x, one_cluster(Variant::kBase));
+  const auto issr = run_csrmv_system(a, x, one_cluster(Variant::kIssr));
+  const double speedup = static_cast<double>(base.system.cycles) /
+                         static_cast<double>(issr.system.cycles);
   EXPECT_GT(speedup, 2.5);  // paper: >5x at nnz/row>50; 32/row lands lower
   EXPECT_LT(speedup, 7.2);
 }
@@ -269,12 +270,10 @@ TEST(ClusterCsrmvPerf, BankConflictsReducePeakUtilization) {
   Rng rng(1201);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 96, 256, 96);
   const auto x = sparse::random_dense_vector(rng, 256);
-  McCsrmvConfig cfg;
-  cfg.variant = Variant::kIssr;
-  const auto r = run_csrmv_multicore(a, x, cfg);
-  EXPECT_GT(r.cluster.tcdm.conflicts, 0u);
-  EXPECT_LT(r.cluster.fpu_util(), 0.8);
-  EXPECT_GT(r.cluster.fpu_util(), 0.3);
+  const auto r = run_csrmv_system(a, x, one_cluster(Variant::kIssr));
+  EXPECT_GT(r.system.clusters[0].tcdm.conflicts, 0u);
+  EXPECT_LT(r.system.fpu_util(), 0.8);
+  EXPECT_GT(r.system.fpu_util(), 0.3);
 }
 
 TEST(ClusterCsrmvPerf, ScalesWithWorkerCount) {
@@ -283,16 +282,15 @@ TEST(ClusterCsrmvPerf, ScalesWithWorkerCount) {
   const auto x = sparse::random_dense_vector(rng, 256);
   cycle_t prev = 0;
   for (const unsigned workers : {1u, 2u, 8u}) {
-    McCsrmvConfig cfg;
-    cfg.variant = Variant::kIssr;
-    cfg.cluster.num_workers = workers;
-    const auto r = run_csrmv_multicore(a, x, cfg);
+    auto cfg = one_cluster(Variant::kIssr);
+    cfg.system.cluster.num_workers = workers;
+    const auto r = run_csrmv_system(a, x, cfg);
     EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9))
         << workers << " workers";
     if (prev != 0) {
-      EXPECT_LT(r.cluster.cycles, prev);
+      EXPECT_LT(r.system.cycles, prev);
     }
-    prev = r.cluster.cycles;
+    prev = r.system.cycles;
   }
 }
 
@@ -302,16 +300,15 @@ TEST(ClusterCsrmvPerf, DmaOverlapsComputeAcrossTiles) {
   Rng rng(1202);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 512, 128, 24);
   const auto x = sparse::random_dense_vector(rng, 128);
-  McCsrmvConfig cfg;
-  cfg.variant = Variant::kIssr;
+  auto cfg = one_cluster(Variant::kIssr);
   cfg.max_tile_rows = 64;  // 8 tiles
-  const auto r = run_csrmv_multicore(a, x, cfg);
-  EXPECT_GE(r.plan.tiles.size(), 8u);
+  const auto r = run_csrmv_system(a, x, cfg);
+  EXPECT_GE(r.plans[0].tiles.size(), 8u);
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
   // DMA busy time must overlap compute: total cycles are well below the
   // sum of pure-DMA and pure-compute time.
-  EXPECT_LT(r.cluster.cycles,
-            r.cluster.dma.busy_cycles +
+  EXPECT_LT(r.system.cycles,
+            r.system.clusters[0].dma.busy_cycles +
                 static_cast<cycle_t>(static_cast<double>(a.nnz()) / 8 * 1.25) +
                 4000);
 }
@@ -323,13 +320,13 @@ TEST(EnginePins, ClusterRunCyclesAndStalls) {
   Rng rng(13);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 32, 64, 6);
   const auto x = sparse::random_dense_vector(rng, 64);
-  McCsrmvConfig cfg;
-  cfg.cluster.num_workers = 2;
-  const auto r = run_csrmv_multicore(a, x, cfg);
-  ASSERT_FALSE(r.cluster.fault);
+  auto cfg = one_cluster(Variant::kIssr);
+  cfg.system.cluster.num_workers = 2;
+  const auto r = run_csrmv_system(a, x, cfg);
+  ASSERT_FALSE(r.system.fault);
   EXPECT_TRUE(sparse::allclose(r.y, sparse::ref_csrmv(a, x), 1e-9, 1e-9));
-  std::string s = "cycles=" + std::to_string(r.cluster.cycles);
-  for (const auto& w : r.cluster.stalls) {
+  std::string s = "cycles=" + std::to_string(r.system.cycles);
+  for (const auto& w : r.system.clusters[0].stalls) {
     s += " stalls=";
     for (const std::uint64_t c : w.counts) s += std::to_string(c) + ",";
   }

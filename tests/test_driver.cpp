@@ -520,10 +520,11 @@ TEST(PaperShapeGolden, Fig4cClusterCsrmv) {
   Rng rng(3);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 512, 1024, 51);
   const auto x = sparse::random_dense_vector(rng, 1024);
-  const auto r = run_csrmv_mc(kernels::Variant::kIssr,
-                              sparse::IndexWidth::kU16, 8, a, x);
+  const auto r =
+      run_csrmv_sys(kernels::Variant::kIssr, sparse::IndexWidth::kU16, 1, 8,
+                    a, x, nullptr, true, {}, SysTuning{.fabric = false});
   EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.mc.cluster.cycles * 8, 62968u);  // core-cycles
+  EXPECT_EQ(r.sys.system.cycles * 8, 62968u);  // core-cycles
 }
 
 // --- Single-cluster golden table ---------------------------------------------
@@ -536,12 +537,13 @@ struct OneClusterRun {
   bool ok = false;
 };
 
+/// The System of one, with no fabric.
 OneClusterRun run_one_cluster(kernels::Variant v, const sparse::CsrMatrix& a,
                               const sparse::DenseVector& x,
                               const RunAids& aids = {}) {
-  auto r = run_csrmv_mc(v, sparse::IndexWidth::kU16, 8, a, x, nullptr, true,
-                        aids);
-  return {r.mc.cluster, r.mc.y, r.mc.cluster.fault, r.ok};
+  auto r = run_csrmv_sys(v, sparse::IndexWidth::kU16, 1, 8, a, x, nullptr,
+                         true, aids, SysTuning{.fabric = false});
+  return {r.sys.system.clusters[0], r.sys.y, r.sys.system.fault, r.ok};
 }
 
 /// 256 x 512 at `rn` nonzeros per row, and its dense vector.

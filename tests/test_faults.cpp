@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/sim.hpp"
@@ -27,6 +26,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/generate.hpp"
 #include "system/csrmv_sys.hpp"
+#include "system/system.hpp"
 #include "trace/ring.hpp"
 
 namespace issr {
@@ -155,39 +155,41 @@ TEST(Watchdog, ClusterBarrierDropIsExactDeadlock) {
   // Workers rendezvous on the HW barrier; swallowing the release parks
   // every core on the barrier CSR with an empty event horizon, so the
   // watchdog proves the wedge the cycle it happens — no budget needed.
-  cluster::ClusterConfig cfg;
+  system::SystemConfig cfg;
+  cfg.fabric = false;
   std::vector<std::shared_ptr<const isa::Program>> programs;
-  for (unsigned w = 0; w < cfg.num_workers; ++w) {
+  for (unsigned w = 0; w < cfg.cluster.num_workers; ++w) {
     isa::Assembler a;
     kernels::emit_barrier(a);
     kernels::emit_halt(a);
     programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
-  cluster::Cluster cl(cfg, std::move(programs));
-  cl.barrier().inject_drop_next_release();
-  const auto r = cl.run(1'000'000);
+  system::System sys(cfg, {std::move(programs)});
+  sys.cluster(0).barrier().inject_drop_next_release();
+  const auto r = sys.run(1'000'000);
   ASSERT_TRUE(r.fault);
   EXPECT_EQ(r.fault.code, FaultCode::kBarrierDeadlock);
   EXPECT_LT(r.fault.cycle, 1'000'000u) << "detection must be exact, not "
                                           "budget-driven";
   EXPECT_EQ(r.fault.last_next_event, kCycleNever);
-  EXPECT_EQ(r.fault.harts.size(), cfg.num_workers);
+  EXPECT_EQ(r.fault.harts.size(), cfg.cluster.num_workers);
   EXPECT_NE(r.fault.barrier.find("arrived"), std::string::npos)
       << r.fault.barrier;
   EXPECT_NE(r.fault.describe().find("barrier_deadlock"), std::string::npos);
 }
 
 TEST(Watchdog, CleanBarrierRunHasNoFault) {
-  cluster::ClusterConfig cfg;
+  system::SystemConfig cfg;
+  cfg.fabric = false;
   std::vector<std::shared_ptr<const isa::Program>> programs;
-  for (unsigned w = 0; w < cfg.num_workers; ++w) {
+  for (unsigned w = 0; w < cfg.cluster.num_workers; ++w) {
     isa::Assembler a;
     kernels::emit_barrier(a);
     kernels::emit_halt(a);
     programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
-  cluster::Cluster cl(cfg, std::move(programs));
-  const auto r = cl.run(1'000'000);
+  system::System sys(cfg, {std::move(programs)});
+  const auto r = sys.run(1'000'000);
   EXPECT_FALSE(r.fault);
   EXPECT_FALSE(r.aborted);
 }
@@ -342,17 +344,18 @@ TEST(FaultRecord, CycleLimitFaultsAtPinnedCycle) {
 }
 
 TEST(FaultRecord, ClusterBarrierDropDeadlocksAtPinnedCycle) {
-  cluster::ClusterConfig cfg;
+  system::SystemConfig cfg;
+  cfg.fabric = false;
   std::vector<std::shared_ptr<const isa::Program>> programs;
-  for (unsigned w = 0; w < cfg.num_workers; ++w) {
+  for (unsigned w = 0; w < cfg.cluster.num_workers; ++w) {
     isa::Assembler a;
     kernels::emit_barrier(a);
     kernels::emit_halt(a);
     programs.push_back(std::make_shared<const isa::Program>(a.assemble()));
   }
-  cluster::Cluster cl(cfg, std::move(programs));
-  cl.barrier().inject_drop_next_release();
-  const cluster::ClusterResult r = cl.run(1'000'000);
+  system::System sys(cfg, {std::move(programs)});
+  sys.cluster(0).barrier().inject_drop_next_release();
+  const system::SystemResult r = sys.run(1'000'000);
   ASSERT_TRUE(r.fault);
   EXPECT_EQ(r.cycles, 1u);
   EXPECT_EQ(fault_record(r.fault),

@@ -177,6 +177,17 @@ TEST(MetricsHarvest, UtilizationInvariantsHoldOnMixedSweep) {
     EXPECT_GT(r.metrics.value("util_fpu"), 0.0);
     // Stall attribution still sums exactly to core-cycles.
     EXPECT_EQ(r.stalls.total(), r.core_cycles);
+    // Every System row carries the TCDM series; only a System with a
+    // fabric (more than one cluster) carries the interconnect's.
+    const auto has = [&r](const char* name) {
+      for (const auto& e : r.metrics.entries()) {
+        if (e.name == name) return true;
+      }
+      return false;
+    };
+    EXPECT_EQ(has("tcdm_grants"),
+              r.scenario.cores > 1 || r.scenario.clusters > 1);
+    EXPECT_EQ(has("noc_beats_in"), r.scenario.clusters > 1);
   }
 }
 

@@ -2,8 +2,8 @@
 // and the energy model's shape.
 #include <gtest/gtest.h>
 
-#include "cluster/csrmv_mc.hpp"
 #include "common/rng.hpp"
+#include "driver/runs.hpp"
 #include "model/area.hpp"
 #include "model/comparison.hpp"
 #include "model/energy.hpp"
@@ -61,23 +61,31 @@ TEST(Comparison, ReferencePointsMatchPaperText) {
   }
 }
 
+/// One 8-worker cluster's CsrMV statistics: the System of one, no fabric.
+cluster::ClusterResult run_cluster(kernels::Variant variant,
+                                   const sparse::CsrMatrix& a,
+                                   const sparse::DenseVector& x) {
+  auto r = driver::run_csrmv_sys(variant, sparse::IndexWidth::kU16, 1, 0, a,
+                                 x, nullptr, true, {},
+                                 driver::SysTuning{.fabric = false});
+  EXPECT_TRUE(r.ok);
+  return std::move(r.sys.system.clusters[0]);
+}
+
 class EnergyModel : public ::testing::Test {
  protected:
-  cluster::McCsrmvResult run(kernels::Variant variant) {
+  cluster::ClusterResult run(kernels::Variant variant) {
     Rng rng(2000);
     const auto a = sparse::random_fixed_row_nnz_matrix(rng, 128, 256, 48);
     Rng rng2(2001);
     const auto x = sparse::random_dense_vector(rng2, 256);
-    cluster::McCsrmvConfig cfg;
-    cfg.variant = variant;
-    cfg.width = sparse::IndexWidth::kU16;
-    return cluster::run_csrmv_multicore(a, x, cfg);
+    return run_cluster(variant, a, x);
   }
 };
 
 TEST_F(EnergyModel, IssrUsesMorePowerButLessEnergy) {
-  const auto base = estimate_energy(run(kernels::Variant::kBase).cluster);
-  const auto issr = estimate_energy(run(kernels::Variant::kIssr).cluster);
+  const auto base = estimate_energy(run(kernels::Variant::kBase));
+  const auto issr = estimate_energy(run(kernels::Variant::kIssr));
   // Paper: ISSR average power higher (89 -> 194 mW pattern)...
   EXPECT_GT(issr.avg_power_mw, base.avg_power_mw);
   // ...but energy per MAC improves (up to 2.7x).
@@ -88,8 +96,8 @@ TEST_F(EnergyModel, IssrUsesMorePowerButLessEnergy) {
 }
 
 TEST_F(EnergyModel, PowerWithinPaperRange) {
-  const auto base = estimate_energy(run(kernels::Variant::kBase).cluster);
-  const auto issr = estimate_energy(run(kernels::Variant::kIssr).cluster);
+  const auto base = estimate_energy(run(kernels::Variant::kBase));
+  const auto issr = estimate_energy(run(kernels::Variant::kIssr));
   // Calibration sanity: same order of magnitude as the published pair
   // (89 mW BASE, 194 mW ISSR at the paper's utilizations).
   EXPECT_GT(base.avg_power_mw, 40.0);
@@ -109,11 +117,9 @@ TEST(EnergyModelUnit, EnergyScalesWithClock) {
   Rng rng(2002);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 64, 128, 16);
   const auto x = sparse::random_dense_vector(rng, 128);
-  cluster::McCsrmvConfig cfg;
-  cfg.variant = kernels::Variant::kIssr;
-  const auto run = cluster::run_csrmv_multicore(a, x, cfg);
-  const auto at1ghz = estimate_energy(run.cluster, {}, 1.0);
-  const auto at2ghz = estimate_energy(run.cluster, {}, 2.0);
+  const auto run = run_cluster(kernels::Variant::kIssr, a, x);
+  const auto at1ghz = estimate_energy(run, {}, 1.0);
+  const auto at2ghz = estimate_energy(run, {}, 2.0);
   // Same cycle count at double the clock: half the time, half the energy
   // (the simple model keeps power per cycle constant).
   EXPECT_NEAR(at2ghz.energy_uj, at1ghz.energy_uj / 2, 1e-9);

@@ -219,10 +219,11 @@ TEST(StallInvariant, ClusterPerWorkerAndTotal) {
   Rng rng(17);
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 64, 64, 8);
   const auto x = sparse::random_dense_vector(rng, 64);
-  const auto r = driver::run_csrmv_mc(kernels::Variant::kIssr,
-                                      sparse::IndexWidth::kU16, 4, a, x);
+  const auto r = driver::run_csrmv_sys(
+      kernels::Variant::kIssr, sparse::IndexWidth::kU16, 1, 4, a, x, nullptr,
+      true, {}, driver::SysTuning{.fabric = false});
   ASSERT_TRUE(r.ok);
-  const auto& cl = r.mc.cluster;
+  const auto& cl = r.sys.system.clusters[0];
   ASSERT_EQ(cl.stalls.size(), 4u);
   for (const auto& s : cl.stalls) {
     EXPECT_EQ(s.total(), cl.cycles);
@@ -328,9 +329,9 @@ TEST(ChromeTrace, TimestampsMonotonicPerTrack) {
   const auto a = sparse::random_fixed_row_nnz_matrix(rng, 64, 64, 8);
   const auto x = sparse::random_dense_vector(rng, 64);
   RingBufferSink sink;
-  const auto r = driver::run_csrmv_mc(kernels::Variant::kIssr,
-                                      sparse::IndexWidth::kU16, 2, a, x,
-                                      &sink);
+  const auto r = driver::run_csrmv_sys(
+      kernels::Variant::kIssr, sparse::IndexWidth::kU16, 1, 2, a, x, &sink,
+      true, {}, driver::SysTuning{.fabric = false});
   ASSERT_TRUE(r.ok);
   ASSERT_GT(sink.size(), 0u);
   std::map<std::uint32_t, cycle_t> last;
@@ -343,6 +344,13 @@ TEST(ChromeTrace, TimestampsMonotonicPerTrack) {
   }
   // Cluster runs register per-worker, TCDM-bank, DMA and barrier tracks.
   EXPECT_GT(sink.tracks().size(), 32u);
+  // The System of one registers them unprefixed, with no interconnect or
+  // inter-cluster barrier track.
+  for (const auto& t : sink.tracks()) {
+    EXPECT_NE(t.process.rfind("c0.", 0), 0u) << t.process;
+    EXPECT_NE(t.process, "noc");
+    EXPECT_NE(t.process, "system");
+  }
 }
 
 TEST(ChromeTrace, JsonValidatorCatchesCorruption) {
